@@ -159,9 +159,7 @@ def markov_matrix(n: int) -> MarkovMatrix:
     )
     if not 1.0 / 3.0 < t < 0.5:
         raise InvariantBreachError(f"t={t!r} outside (1/3, 1/2) for n={n}")
-    worst = 0.0
-    for anchor in range(n):
-        worst = max(worst, np.abs(_markov_from_overlaps(sc, anchor) - mm.m).max())
+    worst = np.abs(_markov_from_overlaps(sc) - mm.m).max()
     if worst > 1e-10:
         raise SymmetryBreachError(
             f"symmetry breach: overlap-built transition matrix deviates by {worst:.3e}"
@@ -169,19 +167,17 @@ def markov_matrix(n: int) -> MarkovMatrix:
     return mm
 
 
-def _markov_from_overlaps(sc: Scenario, anchor: int) -> np.ndarray:
-    """(1/n) sum over the current player's choice of the 3x3 squared-overlap
-    matrix between its outcome vectors and the previous player's (``anchor``)."""
+def _markov_from_overlaps(sc: Scenario) -> np.ndarray:
+    """Overlap-built transition matrix for every anchor at once, shape (n, 3, 3).
 
-    def outcome_vectors(i: int) -> np.ndarray:
-        return np.stack([sc.a(i), sc.b(i), sc.a(i + 1)])
-
-    cols = outcome_vectors(anchor)
-    total = np.zeros((3, 3))
-    for i in range(sc.n):
-        rows = outcome_vectors(i)
-        total += (rows @ cols.T) ** 2
-    return total / sc.n
+    Entry [anchor, o, p] is (1/n) sum_i (u_{i,o} . u_{anchor,p})^2, where
+    u_{i,o} are the outcome vectors (a_i, b_i, a_{i+1}) of context i.  The sum
+    over i folds into S_o = sum_i u_{i,o} u_{i,o}^T, so each entry is the
+    quadratic form u_{anchor,p}^T S_o u_{anchor,p}: O(n) work for all anchors.
+    """
+    u = np.stack([sc.a_vectors, sc.b_vectors, np.roll(sc.a_vectors, -1, axis=0)], axis=1)
+    s = np.einsum("nok,nol->okl", u, u)
+    return np.einsum("okl,apk,apl->aop", s, u, u) / sc.n
 
 
 def context_probabilities(sc: Scenario, state: DensityMatrix, i: int) -> np.ndarray:

@@ -10,8 +10,6 @@ number of workers merges into bit-identical tallies.
 
 from __future__ import annotations
 
-import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -314,6 +312,11 @@ def estimate_sequence(cfg: GameConfig, workers: int = 1) -> SimulationEstimate:
 
 
 def _merge_parallel(cfg: GameConfig, ranges: list[tuple[int, int]]) -> np.ndarray:
+    # imported here, not at module level: the pool machinery pulls in
+    # multiprocessing, which every CLI start-up would otherwise pay for
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(

@@ -8,6 +8,7 @@ from ncycle import (
     InequalityId,
     PairingError,
     ProtocolId,
+    SymmetryBreachError,
     build_scenario,
     channel_sequence,
     extract_recurrence,
@@ -21,7 +22,9 @@ from ncycle import (
     t_coefficient,
     table1,
 )
+from ncycle import analytic
 from ncycle.analytic import aggregate_probability_vector, context_probabilities
+from ncycle.scenario import Scenario
 
 from conftest import oracle_a_vectors, random_mixed_matrix
 
@@ -90,6 +93,52 @@ def test_markov_matches_independent_overlap_build(n):
     for i in range(n):
         total += (outcome_vecs(i) @ cols.T) ** 2
     assert np.abs(total / n - markov_matrix(n).m).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [5, 11, 19])
+def test_batched_overlap_build_matches_anchor_loop(n):
+    sc = build_scenario(n)
+
+    def outcome_vecs(i):
+        return np.stack([sc.a(i), sc.b(i), sc.a(i + 1)])
+
+    batched = analytic._markov_from_overlaps(sc)
+    for anchor in range(n):
+        cols = outcome_vecs(anchor)
+        total = sum((outcome_vecs(i) @ cols.T) ** 2 for i in range(n))
+        assert np.abs(batched[anchor] - total / n).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1001, 3001])
+def test_markov_matrix_large_n(n):
+    mm = markov_matrix(n)
+    assert mm.m[0, 0] == pytest.approx(oracle_t(n), abs=1e-12)
+    assert 1 / 3 < mm.t < 1 / 2
+
+
+def _tilted_scenario(n: int, index: int, eps: float) -> Scenario:
+    """Valid realization except that b_index gets eps added to its first
+    component and is renormalized; built directly, skipping validation."""
+    sc = build_scenario(n)
+    b = sc.b_vectors.copy()
+    b[index] += (eps, 0.0, 0.0)
+    b[index] /= np.linalg.norm(b[index])
+    return Scenario(n=n, a_vectors=sc.a_vectors, b_vectors=b, handle=sc.handle)
+
+
+@pytest.mark.parametrize("index,deviation", [(0, "8.408e-08"), (7, "4.884e-08")])
+def test_markov_check_catches_tilted_b_vector(monkeypatch, index, deviation):
+    tilted = _tilted_scenario(11, index, 1e-6)
+    monkeypatch.setattr(analytic, "build_scenario", lambda n: tilted)
+    with pytest.raises(SymmetryBreachError, match=f"deviates by {deviation}"):
+        markov_matrix(11)
+
+
+@pytest.mark.parametrize("index", [0, 7])
+def test_markov_check_tolerates_tiny_tilt(monkeypatch, index):
+    tilted = _tilted_scenario(11, index, 1e-9)
+    monkeypatch.setattr(analytic, "build_scenario", lambda n: tilted)
+    assert markov_matrix(11).t == t_coefficient(11)
 
 
 def test_context_probabilities_sum_to_one(sc5, handle):

@@ -128,6 +128,11 @@ def test_bounds_even_exit2(capsys):
     assert main(["bounds", "--n", "6"]) == 2
 
 
+def test_bounds_above_cap_exit2(capsys):
+    assert main(["bounds", "--n", "65"]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
 def test_asymptote_json():
     code, out = run_cli("asymptote", "--n", "5", "--format", "json")
     assert code == 0
@@ -219,3 +224,26 @@ def test_threads_env_does_not_change_bytes(tmp_path):
         subprocess.run(args, capture_output=True, env=env).stdout for env in envs
     ]
     assert outs[0] == outs[1]
+
+
+def test_cli_import_skips_process_pool():
+    # the pool is imported lazily by the parallel merge, so one-shot CLI calls
+    # do not pay for concurrent.futures and multiprocessing at start-up
+    import os
+
+    import ncycle
+
+    src = os.path.dirname(os.path.dirname(ncycle.__file__))
+    code = (
+        "import sys, ncycle.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -12,6 +12,8 @@ from ncycle import (
     scenario_from_json,
     scenario_to_json,
 )
+from ncycle import scenario
+from ncycle.scenario import MAX_ENUMERATION_N, Scenario
 
 from conftest import oracle_a_vectors, oracle_handle_overlap_sq
 
@@ -82,6 +84,27 @@ def test_build_rejects_unsupported(n):
 def test_enumerate_rejects_even():
     with pytest.raises(UnsupportedScenarioError):
         enumerate_classical_bounds(6)
+
+
+@pytest.mark.parametrize("n", [MAX_ENUMERATION_N + 2, 65])
+def test_enumerate_rejects_above_cap_without_enumerating(monkeypatch, n):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(scenario.np, "arange", no_enumeration)
+    with pytest.raises(UnsupportedScenarioError, match="cap"):
+        enumerate_classical_bounds(n)
+
+
+def test_context_check_reports_first_failing_context():
+    # stretching b_7 and b_9 by 0.9e-12 keeps every norm and overlap within
+    # ORTHO_TOL, but their contexts miss the identity by about twice that
+    sc = build_scenario(11)
+    b = sc.b_vectors.copy()
+    b[[7, 9]] *= 1 + 0.9e-12
+    stretched = Scenario(n=11, a_vectors=sc.a_vectors, b_vectors=b, handle=sc.handle)
+    with pytest.raises(InvariantBreachError, match="context 7 of n=11"):
+        scenario._validate(stretched)
 
 
 def test_bounds_n5():
