@@ -14,6 +14,7 @@ from .analytic import (
     aggregate_probability_vector,
     channel_sequence,
     context_probabilities,
+    exact_sequence,
     extract_recurrence,
     kmax_uniform,
     markov_matrix,

@@ -17,7 +17,7 @@ contraction factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .protocols import (
     InequalityId,
     ProtocolId,
     Verdict,
+    estimator_weights,
     evaluate,
     functional_operator,
 )
@@ -49,9 +50,6 @@ from .scenario import Scenario, build_scenario
 #: far earlier, so hitting the cap indicates a logic bug, not slow convergence.
 EXTENSION_CAP = 10_000
 
-_V_ALPHA = np.array([0.5, 0.0, 0.5])
-_V_BETA = np.array([0.0, 1.0, 0.0])
-
 
 @dataclass(frozen=True, eq=False)
 class MarkovMatrix:
@@ -62,27 +60,26 @@ class MarkovMatrix:
     """
 
     t: float
-    m: np.ndarray
+    m: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         t = self.t
-        pattern = np.array(
+        if not 1.0 / 3.0 < t < 0.5:
+            raise InvariantBreachError(f"t={t!r} outside (1/3, 1/2)")
+        m = np.array(
             [
                 [t, 1 - 2 * t, t],
                 [1 - 2 * t, 4 * t - 1, 1 - 2 * t],
                 [t, 1 - 2 * t, t],
             ]
         )
-        if not np.array_equal(pattern, self.m):
-            raise InvariantBreachError("transition matrix deviates from its t-pattern")
-        if not 0.25 <= t <= 0.5:
-            raise InvariantBreachError(f"t={t!r} outside [1/4, 1/2]")
-        if np.abs(self.m.sum(axis=0) - 1.0).max() > 1e-12:
+        if np.abs(m.sum(axis=0) - 1.0).max() > 1e-12:
             raise InvariantBreachError("transition matrix is not bistochastic")
         u = np.full(3, 1.0 / 3.0)
-        if np.abs(self.m @ u - u).max() > 1e-12:
+        if np.abs(m @ u - u).max() > 1e-12:
             raise InvariantBreachError("uniform vector is not a fixed point")
-        self.m.setflags(write=False)
+        m.setflags(write=False)
+        object.__setattr__(self, "m", m)
 
     @property
     def decay_rate(self) -> float:
@@ -146,19 +143,7 @@ def markov_matrix(n: int) -> MarkovMatrix:
     """Build the t-patterned transition matrix and verify it against the
     definitional average of squared-overlap matrices for every anchor choice."""
     sc = build_scenario(n)
-    t = _t_from_scenario(sc)
-    mm = MarkovMatrix(
-        t=t,
-        m=np.array(
-            [
-                [t, 1 - 2 * t, t],
-                [1 - 2 * t, 4 * t - 1, 1 - 2 * t],
-                [t, 1 - 2 * t, t],
-            ]
-        ),
-    )
-    if not 1.0 / 3.0 < t < 0.5:
-        raise InvariantBreachError(f"t={t!r} outside (1/3, 1/2) for n={n}")
+    mm = MarkovMatrix(_t_from_scenario(sc))
     worst = np.abs(_markov_from_overlaps(sc) - mm.m).max()
     if worst > 1e-10:
         raise SymmetryBreachError(
@@ -175,7 +160,7 @@ def _markov_from_overlaps(sc: Scenario) -> np.ndarray:
     over i folds into S_o = sum_i u_{i,o} u_{i,o}^T, so each entry is the
     quadratic form u_{anchor,p}^T S_o u_{anchor,p}: O(n) work for all anchors.
     """
-    u = np.stack([sc.a_vectors, sc.b_vectors, np.roll(sc.a_vectors, -1, axis=0)], axis=1)
+    u = sc.outcome_vectors()
     s = np.einsum("nok,nol->okl", u, u)
     return np.einsum("okl,apk,apl->aop", s, u, u) / sc.n
 
@@ -227,7 +212,7 @@ def protocol1_sequence(
     if k_max < 1:
         raise InvariantBreachError(f"k_max must be >= 1, got {k_max}")
     mm = markov_matrix(sc.n)
-    v = _V_ALPHA if ineq is InequalityId.ALPHA else _V_BETA
+    v = estimator_weights(ProtocolId.FULL, ineq)
     q = aggregate_probability_vector(sc, initial)
     values = []
     for _ in range(k_max):
@@ -292,6 +277,20 @@ def recurrence_sequence(
     for _ in range(k_max - 1):
         values.append(coeffs.slope * values[-1] + coeffs.offset)
     return _finish(sc.n, protocol, ineq, values, coeffs.slope)
+
+
+def exact_sequence(
+    sc: Scenario,
+    protocol: ProtocolId,
+    ineq: InequalityId,
+    initial: DensityMatrix,
+    k_max: int,
+) -> SequenceResult:
+    """Per-player values from the protocol's exact engine: the transition
+    matrix for the complete protocol, the affine recurrence otherwise."""
+    if protocol is ProtocolId.FULL:
+        return protocol1_sequence(sc, ineq, initial, k_max)
+    return recurrence_sequence(sc, protocol, ineq, initial, k_max)
 
 
 def channel_sequence(
@@ -471,9 +470,7 @@ def optimal_initial_state_check(
     rng = np.random.default_rng(seed)
 
     def seq(state: DensityMatrix) -> tuple[float, ...]:
-        if protocol is ProtocolId.FULL:
-            return protocol1_sequence(sc, ineq, state, k_checked).values
-        return recurrence_sequence(sc, protocol, ineq, state, k_checked).values
+        return exact_sequence(sc, protocol, ineq, state, k_checked).values
 
     handle_vals = np.array(seq(handle_state()))
     sign = 1.0 if ineq is InequalityId.ALPHA else -1.0

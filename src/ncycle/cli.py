@@ -160,11 +160,16 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _workers() -> int:
+    """NCYCLE_THREADS clamped to [1, usable CPUs], or the usable CPUs if unset."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
     raw = os.environ.get("NCYCLE_THREADS")
     if raw is None:
-        return os.cpu_count() or 1
+        return cpus
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), cpus)
     except ValueError as exc:
         raise UsageError(f"NCYCLE_THREADS must be an integer, got {raw!r}") from exc
 
@@ -196,13 +201,10 @@ def cmd_table1(opts: dict[str, Any]) -> str:
 def cmd_sequence(opts: dict[str, Any]) -> str:
     protocol = ProtocolId(opts["protocol"])
     ineq = InequalityId(opts["ineq"])
-    if opts["k"] < 1:
-        raise UsageError(f"k must be >= 1, got {opts['k']}")
+    if not 1 <= opts["k"] <= montecarlo.MAX_PLAYERS:
+        raise UsageError(f"k must be in [1, {montecarlo.MAX_PLAYERS}], got {opts['k']}")
     sc = build_scenario(opts["n"])
-    if protocol is ProtocolId.FULL:
-        seq = analytic.protocol1_sequence(sc, ineq, handle_state(), opts["k"])
-    else:
-        seq = analytic.recurrence_sequence(sc, protocol, ineq, handle_state(), opts["k"])
+    seq = analytic.exact_sequence(sc, protocol, ineq, handle_state(), opts["k"])
     bound = ineq.bound(sc.n)
     rows = [
         [k + 1, seq.values[k], seq.verdicts[k], bound, seq.asymptote]
@@ -312,10 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _merge_options(args)
         text = _COMMANDS[args.command](opts)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except USAGE_ERRORS as exc:
+    except (UsageError, *USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NCycleError as exc:

@@ -15,21 +15,24 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import _check_pairing, protocol1_sequence, recurrence_sequence
+from .analytic import _check_pairing, exact_sequence
 from .errors import (
     InsufficientRunsError,
     InvariantBreachError,
     ZeroProbabilityBranchError,
 )
-from .protocols import InequalityId, ProtocolId, outcome_labels
+from .protocols import InequalityId, ProtocolId, estimator_weights, outcome_labels
 from .quantum import DensityMatrix, handle_state
-from .scenario import Scenario, build_scenario
+from .scenario import build_scenario
 
 RNG_FAMILY = "philox4x64"
 RNG_DERIVATION = "key = [seed, run_index * 2^16 + position]"
 
 #: Minimum run count accepted by the estimators.
 STATISTICAL_FLOOR = 100
+
+#: Most players in one run: positions fill the low 16 bits of a stream id.
+MAX_PLAYERS = (1 << 16) - 1
 
 
 class Ordering(Enum):
@@ -69,8 +72,8 @@ class GameConfig:
     def __post_init__(self) -> None:
         if self.n % 2 == 0 or self.n < 5:
             raise InvariantBreachError(f"n must be odd and >= 5, got {self.n}")
-        if not 1 <= self.players < 1 << 16:
-            raise InvariantBreachError(f"players must be in [1, 65535], got {self.players}")
+        if not 1 <= self.players <= MAX_PLAYERS:
+            raise InvariantBreachError(f"players must be in [1, {MAX_PLAYERS}], got {self.players}")
         if not 1 <= self.runs < 1 << 48:
             raise InvariantBreachError(f"runs must be in [1, 2^48), got {self.runs}")
         if not 0 <= self.seed < 1 << 64:
@@ -112,20 +115,15 @@ class _Sampler:
     by the test suite), at a fraction of the construction cost.
     """
 
-    def __init__(self, cfg: GameConfig, sc: Scenario | None = None):
+    def __init__(self, cfg: GameConfig):
         self.cfg = cfg
-        self.sc = sc if sc is not None else build_scenario(cfg.n)
+        u = build_scenario(cfg.n).outcome_vectors()
         if cfg.protocol is ProtocolId.FULL:
-            self.vectors = np.stack(
-                [
-                    np.stack([self.sc.a(i), self.sc.b(i), self.sc.a(i + 1)])
-                    for i in range(cfg.n)
-                ]
-            )
+            self.vectors = u
         elif cfg.protocol is ProtocolId.A_ONLY:
-            self.vectors = self.sc.a_vectors
+            self.vectors = u[:, 0]
         else:
-            self.vectors = self.sc.b_vectors
+            self.vectors = u[:, 1]
         self.n_outcomes = 3 if cfg.protocol is ProtocolId.FULL else 2
         self._bg = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
@@ -143,13 +141,9 @@ class _Sampler:
         return self._gen
 
     def play(self, run_index: int):
-        """Yield (position, player, choice, outcome_slot) for one run."""
+        """Yield (position, choice, outcome_slot) for one run."""
         cfg = self.cfg
         state = cfg.initial_state.m
-        if cfg.ordering is Ordering.RANDOM_PERMUTATION:
-            order = self.stream(run_index, 0).permutation(cfg.players)
-        else:
-            order = np.arange(cfg.players)
         for pos in range(1, cfg.players + 1):
             g = self.stream(run_index, pos)
             choice = int(g.integers(cfg.n))
@@ -158,12 +152,12 @@ class _Sampler:
                 slot, state = _measure_full(state, self.vectors[choice], u)
             else:
                 slot, state = _measure_dichotomic(state, self.vectors[choice], u)
-            yield pos, int(order[pos - 1]) + 1, choice, slot
+            yield pos, choice, slot
 
     def tally(self, start: int, stop: int) -> np.ndarray:
         counts = np.zeros((self.cfg.players, self.cfg.n, self.n_outcomes), dtype=np.int64)
         for r in range(start, stop):
-            for pos, _player, choice, slot in self.play(r):
+            for pos, choice, slot in self.play(r):
                 counts[pos - 1, choice, slot] += 1
         return counts
 
@@ -199,12 +193,15 @@ def simulate_run(cfg: GameConfig, run_index: int) -> RunRecord:
     """Play one run and return the per-player records, deterministically in
     (cfg.seed, run_index)."""
     sampler = _Sampler(cfg)
+    if cfg.ordering is Ordering.RANDOM_PERMUTATION:
+        order = sampler.stream(run_index, 0).permutation(cfg.players)
+    else:
+        order = np.arange(cfg.players)
     records = []
-    for pos, player, choice, slot in sampler.play(run_index):
-        label = outcome_labels(sampler.sc, cfg.protocol, choice)[slot]
-        records.append(
-            PlayerRecord(player=player, position=pos, choice=choice, outcome=label)
-        )
+    for pos, choice, slot in sampler.play(run_index):
+        player = int(order[pos - 1]) + 1
+        label = outcome_labels(cfg.n, cfg.protocol, choice)[slot]
+        records.append(PlayerRecord(player=player, position=pos, choice=choice, outcome=label))
     records.sort(key=lambda r: r.player)
     return RunRecord(run_index=run_index, records=tuple(records))
 
@@ -226,16 +223,14 @@ class SimulationEstimate:
     runs_used: int
 
     def to_json_dict(self) -> dict:
-        sc = build_scenario(self.config.n)
+        n = self.config.n
+        labels = [outcome_labels(n, self.config.protocol, i) for i in range(n)]
         counts = {}
         for k in range(self.config.players):
-            per_choice = {}
-            for i in range(self.config.n):
-                labels = outcome_labels(sc, self.config.protocol, i)
-                per_choice[str(i)] = {
-                    labels[o]: int(self.counts[k, i, o]) for o in range(len(labels))
-                }
-            counts[str(k + 1)] = per_choice
+            counts[str(k + 1)] = {
+                str(i): {label: int(c) for label, c in zip(labels[i], self.counts[k, i])}
+                for i in range(n)
+            }
         return {
             "config": self.config.to_json_dict(),
             "rng": {
@@ -249,16 +244,6 @@ class SimulationEstimate:
             ],
             "counts": counts,
         }
-
-
-def _estimator_weights(cfg: GameConfig) -> np.ndarray:
-    if cfg.protocol is ProtocolId.FULL:
-        return (
-            np.array([0.5, 0.0, 0.5])
-            if cfg.ineq is InequalityId.ALPHA
-            else np.array([0.0, 1.0, 0.0])
-        )
-    return np.array([1.0, 0.0])
 
 
 def _tally_range(cfg: GameConfig, start: int, stop: int) -> np.ndarray:
@@ -294,7 +279,7 @@ def estimate_sequence(cfg: GameConfig, workers: int = 1) -> SimulationEstimate:
         counts = _tally_range(cfg, *ranges[0])
     else:
         counts = _merge_parallel(cfg, ranges)
-    w = _estimator_weights(cfg)
+    w = estimator_weights(cfg.protocol, cfg.ineq)
     r = cfg.runs
     n = cfg.n
     per_pos = counts.sum(axis=1)  # (players, n_outcomes)
@@ -357,13 +342,7 @@ def analytic_reference(cfg: GameConfig) -> tuple[float, ...]:
     way), so the reference is ordering-independent.
     """
     sc = build_scenario(cfg.n)
-    if cfg.protocol is ProtocolId.FULL:
-        seq = protocol1_sequence(sc, cfg.ineq, cfg.initial_state, cfg.players)
-    else:
-        seq = recurrence_sequence(
-            sc, cfg.protocol, cfg.ineq, cfg.initial_state, cfg.players
-        )
-    return seq.values
+    return exact_sequence(sc, cfg.protocol, cfg.ineq, cfg.initial_state, cfg.players).values
 
 
 def zscores_against(

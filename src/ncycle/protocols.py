@@ -107,10 +107,22 @@ def functional_operator(sc: Scenario, ineq: InequalityId) -> FunctionalOperator:
     return FunctionalOperator(op=op)
 
 
-def outcome_labels(sc: Scenario, protocol: ProtocolId, i: int) -> tuple[str, ...]:
+def outcome_labels(n: int, protocol: ProtocolId, i: int) -> tuple[str, ...]:
     """Human-readable outcome names matching measurement_set slot order."""
     if protocol is ProtocolId.FULL:
-        return (f"a{i}", f"b{i}", f"a{(i + 1) % sc.n}")
+        return (f"a{i}", f"b{i}", f"a{(i + 1) % n}")
     if protocol is ProtocolId.A_ONLY:
         return (f"a{i}", f"!a{i}")
     return (f"b{i}", f"!b{i}")
+
+
+def estimator_weights(protocol: ProtocolId, ineq: InequalityId) -> np.ndarray:
+    """Weights over one measurement's outcome slots, in measurement_set order.
+
+    Contracted with each measurement's outcome distribution and summed over the
+    n measurements, they give the inequality value."""
+    if protocol is not ProtocolId.FULL:
+        return np.array([1.0, 0.0])
+    if ineq is InequalityId.ALPHA:
+        return np.array([0.5, 0.0, 0.5])
+    return np.array([0.0, 1.0, 0.0])

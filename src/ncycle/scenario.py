@@ -46,6 +46,12 @@ class Scenario:
     def b(self, i: int) -> np.ndarray:
         return self.b_vectors[i % self.n]
 
+    def outcome_vectors(self) -> np.ndarray:
+        """(n, 3, 3) stack whose row i is context i's outcome vectors
+        (a_i, b_i, a_{i+1}), read from the stored vectors as they are."""
+        a = self.a_vectors
+        return np.stack([a, self.b_vectors, np.roll(a, -1, axis=0)], axis=1)
+
 
 @dataclass(frozen=True)
 class ClassicalBounds:
@@ -151,7 +157,8 @@ def enumerate_classical_bounds(n: int) -> ClassicalBounds:
     alpha_max = -1
     beta_min = n + 1
     corr_min = n + 1
-    chunk = 1 << 16
+    # a (chunk, n) int64 temporary stays under 1 MB up to the cap
+    chunk = 1 << 12
     for start in range(0, 1 << n, chunk):
         masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
         bits = ((masks[:, None] >> shifts) & 1).astype(np.int64)

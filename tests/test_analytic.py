@@ -74,6 +74,12 @@ def test_markov_matrix_structure(n):
     assert mm.m.min() > 0.0  # regular chain: strictly positive entries
 
 
+@pytest.mark.parametrize("t", [0.25, 1 / 3, 0.5])
+def test_markov_matrix_rejects_t_outside_open_range(t):
+    with pytest.raises(analytic.InvariantBreachError, match="outside"):
+        analytic.MarkovMatrix(t)
+
+
 def test_markov_entry_equals_t9():
     mm = markov_matrix(9)
     assert mm.m[0, 0] == pytest.approx(oracle_t(9), abs=1e-13)

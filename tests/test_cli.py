@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from ncycle import cli
 from ncycle.cli import main
 
 
@@ -79,6 +80,31 @@ def test_sequence_full_alpha_dies_after_first():
 
 def test_sequence_bad_pairing_exit2(capsys):
     assert main(["sequence", "--n", "5", "--protocol", "a", "--ineq", "beta"]) == 2
+
+
+@pytest.mark.parametrize("k", ["0", "65536", str(10**12)])
+def test_sequence_k_outside_player_range_exit2(monkeypatch, capsys, k):
+    # rejected before any scenario is built, so a huge k costs nothing
+    def no_scenario(n):
+        raise AssertionError("scenario built for an out-of-range k")
+
+    monkeypatch.setattr(cli, "build_scenario", no_scenario)
+    assert main(["sequence", "--n", "5", "--k", k]) == 2
+    assert "k must be in [1, 65535]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "env,cpus,expected",
+    [(None, 3, 3), ("100000", 2, 2), ("100000", 1, 1), ("2", 4, 2), ("0", 4, 1), ("-5", 4, 1)],
+)
+def test_threads_env_clamped_to_usable_cpus(monkeypatch, env, cpus, expected):
+    # the clamp is checked on the parsed value alone: no process is started
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if env is None:
+        monkeypatch.delenv("NCYCLE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("NCYCLE_THREADS", env)
+    assert cli._workers() == expected
 
 
 def test_sequence_csv_json_round_trip():

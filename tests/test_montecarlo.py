@@ -270,7 +270,7 @@ def test_position1_independent_of_later_choices():
     table = np.zeros((3, 5), dtype=np.int64)  # outcome_1 (given choice_1=0) x choice_2
     for r in range(cfg.runs):
         steps = list(sampler.play(r))
-        (_, _, c1, o1), (_, _, c2, _) = steps
+        (_, c1, o1), (_, c2, _) = steps
         if c1 == 0:
             table[o1, c2] += 1
     chi2 = scipy.stats.chi2_contingency(table)
