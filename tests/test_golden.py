@@ -30,6 +30,9 @@ CLI_CASES = {
     ],
     "asymptote_n325.csv": ["asymptote", "--n", "325"],
     "table1_n5_19.csv": ["table1", "--n-min", "5", "--n-max", "19"],
+    "bounds_n21.csv": ["bounds", "--n", "21"],
+    "bounds_n3.json": ["bounds", "--n", "3", "--format", "json"],
+    "bounds_n25.json": ["bounds", "--n", "25", "--format", "json"],
     "simulate_n5_b_beta_fixed.json": [
         "simulate", "--n", "5", "--protocol", "b", "--ineq", "beta", "--players", "4",
         "--runs", "1000", "--seed", "7", "--compare", "--format", "json",
