@@ -1,7 +1,7 @@
 """Sequential-measurement game on odd N-cycle contextuality scenarios.
 
 Exact analytics (transition matrix, affine recurrences, channel iteration),
-enumeration-verified classical bounds, and reproducible Monte Carlo simulation
+exact classical bounds, and reproducible Monte Carlo simulation
 of independent sequential observers.
 """
 

@@ -2,14 +2,16 @@
 
 Subcommands: ``table1`` (K_max table for a range of cycle lengths),
 ``sequence`` (per-player decay data behind the violation plots), ``simulate``
-(Monte Carlo game with optional analytic comparison), ``bounds``
-(enumeration-verified classical bounds plus quantum maxima), and ``asymptote``
-(limit value and per-protocol recurrence coefficients).
+(Monte Carlo game with optional analytic comparison), ``bounds`` (classical
+bounds as the exact optimum over all assignments (transfer matrix), plus
+quantum maxima), and ``asymptote`` (limit value and per-protocol recurrence
+coefficients).
 
 Every command is deterministic given its flags; exit codes are 0 (success),
 1 (internal invariant breach), 2 (usage error).  Flag values take precedence
 over an optional JSON config file (``--config``), which takes precedence over
-defaults.
+defaults; each config value must have the type of its default (``out`` takes a
+string or null), or the command exits 2.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import json
 import os
 import sys
 from typing import Any
-
-import numpy as np
 
 from . import analytic, montecarlo
 from .errors import USAGE_ERRORS, NCycleError
@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append analytic truth and z-scores")
     add_common(p)
 
-    p = sub.add_parser("bounds", help="classical bounds by enumeration")
+    p = sub.add_parser(
+        "bounds",
+        help="classical bounds: exact optimum over all assignments (transfer matrix)",
+    )
     p.add_argument("--n", type=int, default=None)
     add_common(p)
 
@@ -119,9 +122,19 @@ def _merge_options(args: argparse.Namespace) -> dict[str, Any]:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config!r}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {args.config!r} must hold a JSON object")
         unknown = set(loaded) - set(merged)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            default = merged[key]
+            if default is None:  # out: a path, or null for stdout
+                ok, want = value is None or isinstance(value, str), "a string or null"
+            else:  # exact type, so a bool is no int
+                ok, want = type(value) is type(default), type(default).__name__
+            if not ok:
+                raise UsageError(f"config key {key!r} must be {want}, got {value!r}")
         merged.update(loaded)
     for key in merged:
         flag = getattr(args, key, None)
@@ -254,7 +267,7 @@ def cmd_bounds(opts: dict[str, Any]) -> str:
     cb = enumerate_classical_bounds(n)
     if n >= 5:
         sc = build_scenario(n)
-        h = np.array([0.0, 0.0, 1.0])
+        h = sc.handle
         alpha_max = float(h @ functional_operator(sc, InequalityId.ALPHA).op @ h)
         beta_min = float(h @ functional_operator(sc, InequalityId.BETA).op @ h)
         q_alpha: Any = alpha_max

@@ -2,9 +2,9 @@
 
 The realization places N unit vectors a_i on a regular cone around the z axis
 so that adjacent vectors are orthogonal; b_i completes each context
-{a_i, b_i, a_{i+1}} to an orthonormal basis.  Classical bounds come from
-exhaustive enumeration of deterministic outcome assignments, never from the
-closed-form constants they are expected to equal.
+{a_i, b_i, a_{i+1}} to an orthonormal basis.  Classical bounds are the exact
+optimum over all deterministic outcome assignments (transfer matrix), never
+the closed-form constants they are expected to equal.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .errors import InvariantBreachError, UnsupportedScenarioError
 
 ORTHO_TOL = 1e-12
 
-#: Largest cycle length ``enumerate_classical_bounds`` accepts: the 2**n
-#: enumeration takes seconds at n=23 and doubles with every step of n.
+#: Largest cycle length ``enumerate_classical_bounds`` accepts, the range
+#: ``bounds`` supports until one range is chosen for every command.
 MAX_ENUMERATION_N = 25
 
 _HANDLE = np.array([0.0, 0.0, 1.0])
@@ -55,7 +55,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ClassicalBounds:
-    """Facet constants of the noncontextual polytope, found by enumeration."""
+    """Noncontextual facet constants: exact optimum over all assignments (transfer matrix)."""
 
     alpha_bound: int
     beta_bound: int
@@ -132,48 +132,47 @@ def _validate(sc: Scenario) -> None:
 
 
 def enumerate_classical_bounds(n: int) -> ClassicalBounds:
-    """Exhaustively enumerate deterministic assignments for the length-n cycle.
+    """Exact optimum over all deterministic assignments of the length-n cycle
+    (transfer matrix), exact over integers:
 
-    Two separate enumerations, both exact over integers:
-
-    * all 2**n choices of o_i in {-1, +1}; ``correlator_bound`` is the minimum
-      of sum_i o_i * o_{i+1};
-    * all 0/1 assignments to the 2n vertices {a_i} and {b_i} with exactly one
-      true vertex per context {a_i, b_i, a_{i+1}}.  Requiring exactly one true
-      a- or b-vertex per context forces b_i = (1 - a_i)(1 - a_{i+1}) and rules
-      out adjacent true a's, so the admissible set is exactly the independent
-      sets of the cycle with the b-values they induce.
+    * ``correlator_bound``: min of sum_i o_i * o_{i+1} over o_i in {-1, +1};
+    * ``alpha_bound`` and ``beta_bound``: max of sum a_i and min of sum b_i
+      over all 0/1 assignments to the 2n vertices {a_i} and {b_i} with exactly
+      one true vertex per context {a_i, b_i, a_{i+1}}.  That forces
+      b_i = (1 - a_i)(1 - a_{i+1}) and rules out adjacent true a's (the pair
+      (1, 0) counts a_i, the pair (0, 0) counts b_i, and (1, 1) is left out).
     """
     if n % 2 == 0 or n < 3:
         raise UnsupportedScenarioError(
-            f"unsupported scenario: enumeration needs odd n >= 3, got {n}"
+            f"unsupported scenario: classical bounds need odd n >= 3, got {n}"
         )
     if n > MAX_ENUMERATION_N:
         raise UnsupportedScenarioError(
-            f"unsupported scenario: enumeration of 2**{n} assignments exceeds "
-            f"the cap n <= {MAX_ENUMERATION_N}"
+            f"unsupported scenario: n={n} exceeds the cap n <= {MAX_ENUMERATION_N}"
         )
-    shifts = np.arange(n, dtype=np.uint64)
-    alpha_max = -1
-    beta_min = n + 1
-    corr_min = n + 1
-    # a (chunk, n) int64 temporary stays under 1 MB up to the cap
-    chunk = 1 << 12
-    for start in range(0, 1 << n, chunk):
-        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.int64)
-        nxt = np.roll(bits, -1, axis=1)
-        # +-1 correlator: sum o_i o_{i+1} = n - 2 * (number of disagreements)
-        corr = n - 2 * (bits ^ nxt).sum(axis=1)
-        corr_min = min(corr_min, int(corr.min()))
-        ok = ~np.any(bits & nxt, axis=1)
-        if ok.any():
-            alpha_max = max(alpha_max, int(bits[ok].sum(axis=1).max()))
-            beta = ((1 - bits[ok]) & (1 - nxt[ok])).sum(axis=1)
-            beta_min = min(beta_min, int(beta.min()))
-    return ClassicalBounds(
-        alpha_bound=alpha_max, beta_bound=beta_min, correlator_bound=corr_min
-    )
+    alpha = _cycle_optimum(n, {(0, 0): 0, (0, 1): 0, (1, 0): 1}, max)
+    beta = _cycle_optimum(n, {(0, 0): 1, (0, 1): 0, (1, 0): 0}, min)
+    corr = _cycle_optimum(n, {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1}, min)
+    return ClassicalBounds(alpha_bound=alpha, beta_bound=beta, correlator_bound=corr)
+
+
+def _cycle_optimum(n: int, weights: dict[tuple[int, int], int], best) -> int:
+    """``best`` (max or min) of sum_i weights[x_i, x_{i+1}], indices mod n, over
+    every x in {0,1}^n whose adjacent pairs are all keys of ``weights``: fix
+    x_0, carry the best prefix sum for each value of x_i, then close the edge
+    back to x_0, O(n) integer steps of a 2x2 transfer matrix.
+    """
+    totals = []
+    for x0 in (0, 1):
+        prefix = {x0: 0}
+        for _ in range(n - 1):
+            prefix = {
+                q: best(s + weights[p, q] for p, s in prefix.items() if (p, q) in weights)
+                for q in (0, 1)
+                if any((p, q) in weights for p in prefix)
+            }
+        totals += [s + weights[p, x0] for p, s in prefix.items() if (p, x0) in weights]
+    return best(totals)
 
 
 def scenario_to_json(sc: Scenario) -> str:

@@ -220,6 +220,43 @@ def test_config_unknown_key_exit2(tmp_path, capsys):
     assert main(["sequence", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("table1", {"n_max": 7.0}),
+        ("sequence", {"k": "5"}),
+        ("simulate", {"compare": 1}),
+        ("bounds", {"n": "7"}),
+        ("asymptote", {"n": True}),
+    ],
+)
+def test_config_value_of_wrong_type_exit2(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    key = next(iter(config))
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"out": 3}, ["n", 5], 7])
+def test_config_out_and_shape_checked_exit2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["bounds", "--config", str(cfg)]) == 2
+
+
+def test_config_out_accepts_path_or_null(tmp_path):
+    target = tmp_path / "b.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 7, "out": str(target)}))
+    assert main(["bounds", "--config", str(cfg)]) == 0
+    assert target.read_text().startswith("n,alpha_bound")
+    cfg.write_text(json.dumps({"n": 7, "out": None}))
+    code, out = run_cli("bounds", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("n,alpha_bound")
+
+
 def test_precision_flag():
     code, out = run_cli("bounds", "--n", "5", "--precision", "3")
     assert code == 0

@@ -96,6 +96,43 @@ def test_enumerate_rejects_above_cap_without_enumerating(monkeypatch, n):
         enumerate_classical_bounds(n)
 
 
+def enumerated_bounds(n):
+    """Oracle: (alpha, beta, correlator) from a vectorised pass over all 2**n
+    assignments, in chunks of 2**12 so each temporary stays under 1 MB."""
+    shifts = np.arange(n, dtype=np.uint64)
+    alpha_max, beta_min, corr_min = -1, n + 1, n + 1
+    chunk = 1 << 12
+    for start in range(0, 1 << n, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
+        bits = ((masks[:, None] >> shifts) & 1).astype(np.int64)
+        nxt = np.roll(bits, -1, axis=1)
+        # +-1 correlator: sum o_i o_{i+1} = n - 2 * (number of disagreements)
+        corr_min = min(corr_min, int((n - 2 * (bits ^ nxt).sum(axis=1)).min()))
+        ok = ~np.any(bits & nxt, axis=1)
+        if ok.any():
+            alpha_max = max(alpha_max, int(bits[ok].sum(axis=1).max()))
+            beta = ((1 - bits[ok]) & (1 - nxt[ok])).sum(axis=1)
+            beta_min = min(beta_min, int(beta.min()))
+    return alpha_max, beta_min, corr_min
+
+
+@pytest.mark.parametrize("n", range(3, 22, 2))
+def test_bounds_match_enumeration(n):
+    cb = enumerate_classical_bounds(n)
+    got = (cb.alpha_bound, cb.beta_bound, cb.correlator_bound)
+    assert got == enumerated_bounds(n)
+    assert all(type(v) is int for v in got)
+
+
+def test_bounds_at_cap_build_no_assignment_array(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(scenario.np, "arange", no_enumeration)
+    cb = enumerate_classical_bounds(25)
+    assert (cb.alpha_bound, cb.beta_bound, cb.correlator_bound) == (12, 1, -23)
+
+
 def test_context_check_reports_first_failing_context():
     # stretching b_7 and b_9 by 0.9e-12 keeps every norm and overlap within
     # ORTHO_TOL, but their contexts miss the identity by about twice that
