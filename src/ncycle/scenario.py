@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +157,7 @@ def enumerate_classical_bounds(n: int) -> ClassicalBounds:
     return ClassicalBounds(alpha_bound=alpha, beta_bound=beta, correlator_bound=corr)
 
 
-def _cycle_optimum(n: int, weights: dict[tuple[int, int], int], best) -> int:
+def _cycle_optimum(n: int, weights: dict[tuple[int, int], int], best: Callable[..., int]) -> int:
     """``best`` (max or min) of sum_i weights[x_i, x_{i+1}], indices mod n, over
     every x in {0,1}^n whose adjacent pairs are all keys of ``weights``: fix
     x_0, carry the best prefix sum for each value of x_i, then close the edge
