@@ -11,7 +11,8 @@ Every command is deterministic given its flags; exit codes are 0 (success),
 1 (internal invariant breach), 2 (usage error).  Flag values take precedence
 over an optional JSON config file (``--config``), which takes precedence over
 defaults; each config value must have the type of its default (``out`` takes a
-string or null), or the command exits 2.
+string or null) and, for an option with fixed choices, be one the flag
+accepts, or the command exits 2.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "asymptote": {"n": 5, "format": "csv", "out": None, "precision": 12},
 }
 
+#: The allowed values of every option that takes one of a fixed set, for
+#: flags and config files alike.
+_CHOICES: dict[str, tuple[str, ...]] = {
+    "format": ("csv", "json"),
+    "protocol": ("full", "a", "b"),
+    "ineq": ("alpha", "beta"),
+    "ordering": ("fixed", "random"),
+}
+
 
 class UsageError(NCycleError):
     """Invalid command-line input."""
@@ -69,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=_CHOICES["format"], default=None)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--precision", type=int, default=None,
                        help="significant digits for csv floats (1..17)")
@@ -82,19 +92,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sequence", help="per-player inequality values")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--protocol", choices=("full", "a", "b"), default=None)
-    p.add_argument("--ineq", choices=("alpha", "beta"), default=None)
+    p.add_argument("--protocol", choices=_CHOICES["protocol"], default=None)
+    p.add_argument("--ineq", choices=_CHOICES["ineq"], default=None)
     p.add_argument("--k", type=int, default=None, help="number of players")
     add_common(p)
 
     p = sub.add_parser("simulate", help="Monte Carlo game simulation")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--protocol", choices=("full", "a", "b"), default=None)
-    p.add_argument("--ineq", choices=("alpha", "beta"), default=None)
+    p.add_argument("--protocol", choices=_CHOICES["protocol"], default=None)
+    p.add_argument("--ineq", choices=_CHOICES["ineq"], default=None)
     p.add_argument("--players", type=int, default=None)
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ordering", choices=("fixed", "random"), default=None)
+    p.add_argument("--ordering", choices=_CHOICES["ordering"], default=None)
     p.add_argument("--compare", action="store_true", default=None,
                    help="append analytic truth and z-scores")
     add_common(p)
@@ -131,6 +141,8 @@ def _merge_options(args: argparse.Namespace) -> dict[str, Any]:
             default = merged[key]
             if default is None:  # out: a path, or null for stdout
                 ok, want = value is None or isinstance(value, str), "a string or null"
+            elif key in _CHOICES:
+                ok, want = value in _CHOICES[key], f"one of {list(_CHOICES[key])}"
             else:  # exact type, so a bool is no int
                 ok, want = type(value) is type(default), type(default).__name__
             if not ok:

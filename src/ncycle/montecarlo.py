@@ -6,6 +6,14 @@ choice, sample an outcome from Born probabilities, and update the state by
 the Lüders rule.  Runs are reproducible: every (seed, run, position) triple
 owns a dedicated counter-based RNG stream, so partitioning runs across any
 number of workers merges into bit-identical tallies.
+
+A player's choice and outcome uniform are the first two draws of its stream,
+``integers(n)`` then ``random()``.  Both come from the stream's first
+Philox4x64-10 block, computed for a block of (run, position) lanes at once:
+the choice is Lemire's bounded draw on the low 32 bits of word 0, the uniform
+is ``(word1 >> 11) * 2^-53``.  A lane whose bounded draw Lemire rejects (odds
+about n * 2^-32) is redrawn from its stream generator, so every draw equals
+the one a fresh ``Generator(Philox(key=[seed, stream_id]))`` makes.
 """
 
 from __future__ import annotations
@@ -107,12 +115,64 @@ class RunRecord:
     records: tuple[PlayerRecord, ...]  # ordered by player identity
 
 
-class _Sampler:
-    """Per-process sampling engine with a reusable, rekeyable generator.
+#: Lanes, one per (run, position), that one vectorised draw covers; it bounds
+#: the draw temporaries whatever the run count.
+_LANES = 1024
 
-    Rekeying through the bit-generator state dict reproduces exactly the
-    stream a fresh Philox construction with the same key would emit (asserted
-    by the test suite), at a fraction of the construction cost.
+_MASK64 = (1 << 64) - 1
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * b, from 32-bit halves."""
+    a_hi, a_lo = np.uint64(a) >> _S32, np.uint64(a) & _LO32
+    b_hi, b_lo = b >> _S32, b & _LO32
+    ll, lh, hl, hh = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
+    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
+    hi = hh + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
+    return hi, b * np.uint64(a)  # the low word is the product mod 2^64
+
+
+def _first_draws(
+    seed: int, stream_ids: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each lane's first ``integers(n)`` and ``random()`` draw, for all lanes at once.
+
+    Lane j is the generator ``Philox(key=[seed, stream_ids[j]])``.  Its first
+    Philox4x64-10 block (counter (1, 0, 0, 0)) gives words w0 and w1: the choice
+    is Lemire's bounded draw on the low 32 bits of w0, the uniform is
+    ``(w1 >> 11) * 2^-53``.  Where ``reject`` is set, Lemire's draw needs more
+    bits than w0's low half and the lane's ``choice`` is not its draw.
+    """
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    # round 1 on counter (1, 0, 0, 0): both products' high words are zero
+    v0, v1 = np.full_like(ids, seed), np.zeros_like(ids)
+    v2, v3 = ids, np.full_like(ids, _PHILOX_M[0])
+    k0 = seed
+    for r in range(1, 10):  # rounds 2..10, after key bump r
+        k0 = (k0 + _PHILOX_W[0]) & _MASK64
+        k1 = ids + np.uint64(r * _PHILOX_W[1] & _MASK64)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], v0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], v2)
+        v0, v1, v2, v3 = hi1 ^ v1 ^ np.uint64(k0), lo1, hi0 ^ v3 ^ k1, lo0
+    m = (v0 & _LO32) * np.uint64(n)
+    reject = (m & _LO32) < np.uint64((2**32 - n) % n)
+    u = (v1 >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return m >> _S32, u, reject
+
+
+class _Sampler:
+    """Per-process sampling engine.
+
+    ``play`` takes every (run, position) lane's choice and uniform from
+    ``_first_draws``, a block of ``_LANES`` lanes at a time; the rare lane
+    Lemire rejects is redrawn through ``stream``.  ``stream`` rekeys one
+    generator through its state dict, which reproduces exactly the stream a
+    fresh Philox construction with the same key would emit (asserted by the
+    test suite), at a fraction of the construction cost.
     """
 
     def __init__(self, cfg: GameConfig):
@@ -140,24 +200,33 @@ class _Sampler:
         self._bg.state = s
         return self._gen
 
-    def play(self, run_index: int):
-        """Yield (position, choice, outcome_slot) for one run."""
+    def play(self, start: int, stop: int):
+        """Yield, for each run in [start, stop), its (position, choice, outcome_slot) steps."""
         cfg = self.cfg
-        state = cfg.initial_state.m
-        for pos in range(1, cfg.players + 1):
-            g = self.stream(run_index, pos)
-            choice = int(g.integers(cfg.n))
-            u = float(g.random())
-            if cfg.protocol is ProtocolId.FULL:
-                slot, state = _measure_full(state, self.vectors[choice], u)
-            else:
-                slot, state = _measure_dichotomic(state, self.vectors[choice], u)
-            yield pos, choice, slot
+        players = cfg.players
+        measure = _measure_full if cfg.protocol is ProtocolId.FULL else _measure_dichotomic
+        total = (stop - start) * players
+        for lo in range(0, total, _LANES):
+            lanes = np.arange(lo, min(lo + _LANES, total), dtype=np.uint64)
+            runs = lanes // np.uint64(players) + np.uint64(start)
+            positions = lanes % np.uint64(players) + np.uint64(1)
+            choice, u, reject = _first_draws(cfg.seed, (runs << np.uint64(16)) | positions, cfg.n)
+            choices, us = choice.tolist(), u.tolist()
+            for j in np.flatnonzero(reject).tolist():
+                g = self.stream(int(runs[j]), int(positions[j]))
+                choices[j], us[j] = int(g.integers(cfg.n)), float(g.random())
+            for pos, c, x in zip(positions.tolist(), choices, us):
+                if pos == 1:
+                    state, steps = cfg.initial_state.m, []
+                slot, state = measure(state, self.vectors[c], x)
+                steps.append((pos, c, slot))
+                if pos == players:
+                    yield steps
 
     def tally(self, start: int, stop: int) -> np.ndarray:
         counts = np.zeros((self.cfg.players, self.cfg.n, self.n_outcomes), dtype=np.int64)
-        for r in range(start, stop):
-            for pos, choice, slot in self.play(r):
+        for steps in self.play(start, stop):
+            for pos, choice, slot in steps:
                 counts[pos - 1, choice, slot] += 1
         return counts
 
@@ -198,7 +267,7 @@ def simulate_run(cfg: GameConfig, run_index: int) -> RunRecord:
     else:
         order = np.arange(cfg.players)
     records = []
-    for pos, choice, slot in sampler.play(run_index):
+    for pos, choice, slot in next(sampler.play(run_index, run_index + 1)):
         player = int(order[pos - 1]) + 1
         label = outcome_labels(cfg.n, cfg.protocol, choice)[slot]
         records.append(PlayerRecord(player=player, position=pos, choice=choice, outcome=label))

@@ -238,6 +238,25 @@ def test_config_value_of_wrong_type_exit2(tmp_path, capsys, command, config):
     assert f"config key {key!r} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sequence", {"protocol": "x"}),
+        ("simulate", {"ordering": "zig"}),
+        ("bounds", {"format": "xml"}),
+        ("sequence", {"ineq": "gamma"}),
+    ],
+)
+def test_config_value_outside_flag_choices_exit2(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    key = next(iter(config))
+    assert f"config key {key!r} must be one of" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("config", [{"out": 3}, ["n", 5], 7])
 def test_config_out_and_shape_checked_exit2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

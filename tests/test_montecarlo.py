@@ -21,7 +21,8 @@ from ncycle import (
     simulate_run,
     stream_for,
 )
-from ncycle.montecarlo import _Sampler, analytic_reference, zscores_against
+from ncycle import montecarlo
+from ncycle.montecarlo import _first_draws, _Sampler, analytic_reference, zscores_against
 from ncycle.quantum import handle_state
 
 
@@ -268,10 +269,107 @@ def test_position1_independent_of_later_choices():
     )
     sampler = _Sampler(cfg)
     table = np.zeros((3, 5), dtype=np.int64)  # outcome_1 (given choice_1=0) x choice_2
-    for r in range(cfg.runs):
-        steps = list(sampler.play(r))
+    for steps in sampler.play(0, cfg.runs):
         (_, c1, o1), (_, c2, _) = steps
         if c1 == 0:
             table[o1, c2] += 1
     chi2 = scipy.stats.chi2_contingency(table)
     assert chi2.pvalue > 0.01
+
+
+def fresh_first_draws(seed, stream_id, n):
+    g = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+    return int(g.integers(n)), float(g.random())
+
+
+def test_first_draws_match_fresh_generators():
+    lanes = [
+        (seed, (run << 16) | pos)
+        for seed in (0, 1, 1 << 63, (1 << 64) - 1)
+        for run in (0, 1, 1 << 47, (1 << 48) - 1)
+        for pos in (1, 2, 65535)
+    ]
+    for seed in {s for s, _ in lanes}:
+        ids = np.array([i for s, i in lanes if s == seed], dtype=np.uint64)
+        for n in range(5, 102, 2):
+            choice, u, reject = _first_draws(seed, ids, n)
+            assert not reject.any()
+            got = list(zip(choice.tolist(), u.tolist()))
+            assert got == [fresh_first_draws(seed, int(i), n) for i in ids], (seed, n)
+
+
+def test_first_draws_flag_exactly_the_lanes_lemire_rejects():
+    # with n just above 2^31 about half of all lanes reject, so the flag is
+    # checked against numpy's own first 32-bit word on both outcomes
+    n = (1 << 31) + 1
+    threshold = ((1 << 32) - n) % n
+    ids = np.arange(1, 401, dtype=np.uint64)
+    choice, u, reject = _first_draws(99, ids, n)
+    for j, sid in enumerate(ids.tolist()):
+        word0 = int(np.random.Philox(key=np.array([99, sid], dtype=np.uint64)).random_raw())
+        assert bool(reject[j]) == (((word0 & 0xFFFFFFFF) * n) & 0xFFFFFFFF < threshold)
+        if not reject[j]:
+            assert (int(choice[j]), float(u[j])) == fresh_first_draws(99, sid, n)
+    assert 100 < reject.sum() < 300
+
+
+def game_configs():
+    return [
+        cfg_b5(runs=150, seed=11),
+        GameConfig(n=9, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                   players=3, runs=150, seed=(1 << 64) - 1),
+        GameConfig(n=7, protocol=ProtocolId.A_ONLY, ineq=InequalityId.ALPHA,
+                   players=5, runs=150, seed=0),
+    ]
+
+
+def scalar_tally(cfg, start, stop):
+    """The reference: one rekeyed generator and two scalar draws per step."""
+    sampler = _Sampler(cfg)
+    measure = (montecarlo._measure_full if cfg.protocol is ProtocolId.FULL
+               else montecarlo._measure_dichotomic)
+    counts = np.zeros((cfg.players, cfg.n, sampler.n_outcomes), dtype=np.int64)
+    for run in range(start, stop):
+        state = cfg.initial_state.m
+        for pos in range(1, cfg.players + 1):
+            g = sampler.stream(run, pos)
+            choice = int(g.integers(cfg.n))
+            slot, state = measure(state, sampler.vectors[choice], float(g.random()))
+            counts[pos - 1, choice, slot] += 1
+    return counts
+
+
+def test_rejected_lanes_fall_back_to_the_scalar_stream(monkeypatch):
+    expected = [scalar_tally(cfg, 0, cfg.runs) for cfg in game_configs()]
+    for cfg, counts in zip(game_configs(), expected):
+        assert np.array_equal(_Sampler(cfg).tally(0, cfg.runs), counts)
+    first_draws = montecarlo._first_draws
+
+    def reject_all(seed, stream_ids, n):
+        # a rejected lane's choice and uniform are not its draws: spoil them
+        choice, u, reject = first_draws(seed, stream_ids, n)
+        return np.zeros_like(choice), np.zeros_like(u), np.ones_like(reject)
+
+    monkeypatch.setattr(montecarlo, "_first_draws", reject_all)
+    for cfg, counts in zip(game_configs(), expected):
+        assert np.array_equal(_Sampler(cfg).tally(0, cfg.runs), counts)
+
+
+def test_runs_split_across_lane_blocks(monkeypatch):
+    # 7 lanes a block: runs of 3, 4 and 5 players straddle block ends
+    expected = [scalar_tally(cfg, 3, cfg.runs) for cfg in game_configs()]
+    monkeypatch.setattr(montecarlo, "_LANES", 7)
+    for cfg, counts in zip(game_configs(), expected):
+        assert np.array_equal(_Sampler(cfg).tally(3, cfg.runs), counts)
+
+
+def test_estimate_json_identical_at_1_2_and_8_workers():
+    # three players do not divide the lane block, so blocks end mid-run, and
+    # 1001 runs give chunks of unequal size
+    cfg = GameConfig(n=9, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA, players=3,
+                     runs=1001, seed=5, ordering=Ordering.RANDOM_PERMUTATION)
+    texts = {
+        json.dumps(estimate_sequence(cfg, workers=w).to_json_dict(), indent=2)
+        for w in (1, 2, 8)
+    }
+    assert len(texts) == 1
