@@ -16,12 +16,10 @@ from .analytic import (
     context_probabilities,
     exact_sequence,
     extract_recurrence,
-    kmax_uniform,
     markov_matrix,
     optimal_initial_state_check,
     protocol1_sequence,
     recurrence_sequence,
-    t_coefficient,
     table1,
 )
 from .errors import (
@@ -39,14 +37,9 @@ from .montecarlo import (
     ComparisonReport,
     GameConfig,
     Ordering,
-    PlayerRecord,
-    RngStream,
-    RunRecord,
     SimulationEstimate,
     compare_to_analytic,
     estimate_sequence,
-    simulate_run,
-    stream_for,
 )
 from .protocols import (
     VIOLATION_EPS,
@@ -63,11 +56,9 @@ from .quantum import (
     Channel,
     DensityMatrix,
     Projector,
-    apply_channel,
     average_protocol_channel,
     born_probability,
     handle_state,
-    luders_update,
     maximally_mixed,
     pure_state,
     random_pure_state,
@@ -77,8 +68,6 @@ from .scenario import (
     Scenario,
     build_scenario,
     enumerate_classical_bounds,
-    scenario_from_json,
-    scenario_to_json,
 )
 
 __version__ = "0.1.0"

@@ -129,12 +129,8 @@ class SequenceResult:
         return evaluate(self.values[k - 1], self.ineq, self.n)
 
 
-def t_coefficient(n: int) -> float:
-    """(1/n) sum_i <a_0, a_i>^2; lies strictly between 1/3 and 1/2 for n >= 5."""
-    return _t_from_scenario(build_scenario(n))
-
-
 def _t_from_scenario(sc: Scenario) -> float:
+    """(1/n) sum_i <a_0, a_i>^2; lies strictly between 1/3 and 1/2 for n >= 5."""
     overlaps = sc.a_vectors @ sc.a_vectors[0]
     return float(np.sum(overlaps**2)) / sc.n
 
@@ -378,15 +374,6 @@ def _kmax_uniform(values, rate: float, ineq: InequalityId, n: int) -> int:
         else:
             return kmax
     return kmax
-
-
-def kmax_uniform(seq: SequenceResult) -> int:
-    """Largest environment size still violating under randomized access order.
-
-    Auto-extends past the stored values using the sequence's own contraction
-    factor; capped defensively at EXTENSION_CAP.
-    """
-    return _kmax_uniform(seq.values, seq.decay_rate, seq.ineq, seq.n)
 
 
 @dataclass(frozen=True)

@@ -180,8 +180,11 @@ def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _workers() -> int:
@@ -338,14 +341,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
-        text = _COMMANDS[args.command](opts)
+        _write(_COMMANDS[args.command](opts), opts["out"])
     except (UsageError, *USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NCycleError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 1
-    _write(text, opts["out"])
     return 0
 
 

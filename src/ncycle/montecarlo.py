@@ -1,11 +1,14 @@
 """Stochastic simulation of the sequential measurement game.
 
-Each run prepares the initial state, fixes the player order (identity or a
-fresh uniform permutation), and lets every player draw a uniform measurement
-choice, sample an outcome from Born probabilities, and update the state by
-the Lüders rule.  Runs are reproducible: every (seed, run, position) triple
-owns a dedicated counter-based RNG stream, so partitioning runs across any
-number of workers merges into bit-identical tallies.
+Each run prepares the initial state and lets every player, one temporal
+position after another, draw a uniform measurement choice, sample an outcome
+from Born probabilities, and update the state by the Lüders rule.  The tallies
+keep positions, not player identities, so the access order (``Ordering``) is
+only echoed in the config: a random order leaves every output number as it
+is, and the randomized-order K_max comes from the analytic prefix mean.
+Runs are reproducible: every (seed, run, position) triple owns a dedicated
+counter-based RNG stream, so partitioning runs across any number of workers
+merges into bit-identical tallies.
 
 A player's choice and outcome uniform are the first two draws of its stream,
 ``integers(n)`` then ``random()``.  Both come from the stream's first
@@ -48,24 +51,6 @@ class Ordering(Enum):
     RANDOM_PERMUTATION = "random"
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """One counter-based stream; (seed, stream_id) fully determine its output."""
-
-    seed: int
-    stream_id: int
-
-    def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-def stream_for(seed: int, run_index: int, position: int) -> RngStream:
-    """Stream for one player position within one run; position 0 is the
-    run-level stream that draws the access order."""
-    return RngStream(seed=seed, stream_id=(run_index << 16) | position)
-
-
 @dataclass(frozen=True, eq=False)
 class GameConfig:
     n: int
@@ -99,20 +84,6 @@ class GameConfig:
             "ordering": self.ordering.value,
             "initial_state": [[float(x) for x in row] for row in self.initial_state.m],
         }
-
-
-@dataclass(frozen=True)
-class PlayerRecord:
-    player: int    # 1-based player identity
-    position: int  # 1-based temporal slot the player occupied this run
-    choice: int    # measurement index 0..n-1
-    outcome: str   # outcome label, e.g. "a3", "b3", "!a3"
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    run_index: int
-    records: tuple[PlayerRecord, ...]  # ordered by player identity
 
 
 #: Lanes, one per (run, position), that one vectorised draw covers; it bounds
@@ -256,23 +227,6 @@ def _measure_dichotomic(state: np.ndarray, v: np.ndarray, u: float):
         )
     out = (state - np.outer(w, v) - np.outer(v, w) + p0 * np.outer(v, v)) / q
     return 1, out
-
-
-def simulate_run(cfg: GameConfig, run_index: int) -> RunRecord:
-    """Play one run and return the per-player records, deterministically in
-    (cfg.seed, run_index)."""
-    sampler = _Sampler(cfg)
-    if cfg.ordering is Ordering.RANDOM_PERMUTATION:
-        order = sampler.stream(run_index, 0).permutation(cfg.players)
-    else:
-        order = np.arange(cfg.players)
-    records = []
-    for pos, choice, slot in next(sampler.play(run_index, run_index + 1)):
-        player = int(order[pos - 1]) + 1
-        label = outcome_labels(cfg.n, cfg.protocol, choice)[slot]
-        records.append(PlayerRecord(player=player, position=pos, choice=choice, outcome=label))
-    records.sort(key=lambda r: r.player)
-    return RunRecord(run_index=run_index, records=tuple(records))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,4 @@
-"""Real qutrit state algebra: Born probabilities, Lüders updates, channels.
+"""Real qutrit state algebra: Born probabilities and measurement channels.
 
 Everything lives in real 3x3 symmetric matrices; the cycle realizations are
 real, so no complex arithmetic is needed.  The non-selective measurement
@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvariantBreachError, ZeroProbabilityBranchError
+from .errors import InvariantBreachError
 
 if TYPE_CHECKING:
     from .protocols import ProtocolId
@@ -117,35 +117,12 @@ def born_probability(state: DensityMatrix, proj: Projector) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def luders_update(state: DensityMatrix, proj: Projector) -> DensityMatrix:
-    """Post-measurement state (P rho P) / trace(P rho)."""
-    t = float(np.sum(proj.p * state.m))
-    if t <= 1e-12:
-        raise ZeroProbabilityBranchError(
-            f"zero-probability branch: trace(P rho) = {t!r}"
-        )
-    out = proj.p @ state.m @ proj.p / t
-    return DensityMatrix(_symmetrize(out))
-
-
-def apply_channel(state: DensityMatrix, ch: Channel) -> DensityMatrix:
-    """Non-selective update sum_P P rho P; trace preserving."""
-    out = np.zeros((3, 3))
-    for pr in ch.kraus_list:
-        out += pr.p @ state.m @ pr.p
-    return DensityMatrix(_symmetrize(out))
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
-
-
 @dataclass(frozen=True, eq=False)
 class AverageChannel:
     """Uniform mixture over a protocol's N measurements.
 
-    Acts on raw matrices via :meth:`on_matrix` (used by the analytic module,
-    where the argument need not be a state) and on ``DensityMatrix`` by call.
+    Acts on raw matrices via :meth:`on_matrix` (the analytic module applies it
+    to operators, which need not be states).
     """
 
     channels: tuple[Channel, ...]
@@ -156,16 +133,6 @@ class AverageChannel:
             for pr in ch.kraus_list:
                 out += pr.p @ m @ pr.p
         return out / len(self.channels)
-
-    def __call__(self, state: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(_symmetrize(self.on_matrix(state.m)))
-
-    def iterate(self, state: DensityMatrix, k: int) -> DensityMatrix:
-        """Apply the channel k times."""
-        m = state.m
-        for _ in range(k):
-            m = _symmetrize(self.on_matrix(m))
-        return DensityMatrix(m)
 
 
 def average_protocol_channel(sc: "Scenario", protocol: "ProtocolId") -> AverageChannel:

@@ -9,7 +9,6 @@ the closed-form constants they are expected to equal.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -174,31 +173,3 @@ def _cycle_optimum(n: int, weights: dict[tuple[int, int], int], best: Callable[.
             }
         totals += [s + weights[p, x0] for p, s in prefix.items() if (p, x0) in weights]
     return best(totals)
-
-
-def scenario_to_json(sc: Scenario) -> str:
-    """Serialize as {"n": ..., "a": [[...]], "b": [[...]]} with 17-significant-digit floats."""
-
-    def vec(v: np.ndarray) -> str:
-        return "[" + ", ".join(format(x, ".17g") for x in v) + "]"
-
-    def mat(m: np.ndarray) -> str:
-        return "[" + ", ".join(vec(row) for row in m) + "]"
-
-    return '{"n": %d, "a": %s, "b": %s}' % (sc.n, mat(sc.a_vectors), mat(sc.b_vectors))
-
-
-def scenario_from_json(text: str) -> Scenario:
-    data = json.loads(text)
-    n = int(data["n"])
-    a = np.asarray(data["a"], dtype=float)
-    b = np.asarray(data["b"], dtype=float)
-    if a.shape != (n, 3) or b.shape != (n, 3):
-        raise InvariantBreachError(
-            f"serialized scenario shape mismatch: n={n}, a{a.shape}, b{b.shape}"
-        )
-    a.setflags(write=False)
-    b.setflags(write=False)
-    sc = Scenario(n=n, a_vectors=a, b_vectors=b, handle=_HANDLE)
-    _validate(sc)
-    return sc

@@ -13,13 +13,11 @@ from ncycle import (
     channel_sequence,
     extract_recurrence,
     handle_state,
-    kmax_uniform,
     markov_matrix,
     optimal_initial_state_check,
     protocol1_sequence,
     pure_state,
     recurrence_sequence,
-    t_coefficient,
     table1,
 )
 from ncycle import analytic
@@ -53,13 +51,14 @@ def oracle_recurrence(n: int, ineq: InequalityId) -> tuple[float, float]:
 
 
 def test_t_n5_matches_direct_summation():
-    assert t_coefficient(5) == pytest.approx(oracle_t(5), abs=1e-14)
-    assert t_coefficient(5) == pytest.approx(0.35279, abs=5e-6)
+    t = markov_matrix(5).t
+    assert t == pytest.approx(oracle_t(5), abs=1e-14)
+    assert t == pytest.approx(0.35279, abs=5e-6)
 
 
 @pytest.mark.parametrize("n", ODD_NS)
 def test_t_range(n):
-    t = t_coefficient(n)
+    t = markov_matrix(n).t
     assert 1 / 3 < t < 1 / 2
     assert t == pytest.approx(oracle_t(n), abs=1e-13)
 
@@ -144,7 +143,7 @@ def test_markov_check_catches_tilted_b_vector(monkeypatch, index, deviation):
 def test_markov_check_tolerates_tiny_tilt(monkeypatch, index):
     tilted = _tilted_scenario(11, index, 1e-9)
     monkeypatch.setattr(analytic, "build_scenario", lambda n: tilted)
-    assert markov_matrix(11).t == t_coefficient(11)
+    assert markov_matrix(11).t == analytic._t_from_scenario(tilted)
 
 
 def test_context_probabilities_sum_to_one(sc5, handle):
@@ -249,15 +248,15 @@ def test_kmax_uniform_examples(handle):
     seq = recurrence_sequence(
         build_scenario(5), ProtocolId.B_ONLY, InequalityId.BETA, handle, 30
     )
-    assert kmax_uniform(seq) == 4
+    assert seq.kmax_uniform == 4
     seq = recurrence_sequence(
         build_scenario(5), ProtocolId.A_ONLY, InequalityId.ALPHA, handle, 30
     )
-    assert kmax_uniform(seq) == 2
+    assert seq.kmax_uniform == 2
     seq = recurrence_sequence(
         build_scenario(19), ProtocolId.B_ONLY, InequalityId.BETA, handle, 30
     )
-    assert kmax_uniform(seq) == 16
+    assert seq.kmax_uniform == 16
 
 
 def test_kmax_uniform_n9_boundary(handle):
@@ -270,7 +269,7 @@ def test_kmax_uniform_n9_boundary(handle):
     )
     s8 = sum(seq.values[:8])
     assert s8 / 8 == pytest.approx(1.0010711149, abs=1e-9)
-    assert kmax_uniform(seq) == 7
+    assert seq.kmax_uniform == 7
 
 
 COMPUTED_TABLE = {

@@ -184,6 +184,18 @@ def test_simulate_json_and_determinism(tmp_path):
     assert out1.read_text().endswith("\n")
 
 
+def test_out_in_missing_directory_exit2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["bounds", "--n", "5", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(target)!r}")
+    assert not target.parent.exists()
+
+
+def test_out_is_a_directory_exit2(tmp_path, capsys):
+    assert main(["bounds", "--n", "5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {str(tmp_path)!r}")
+
+
 def test_simulate_runs_floor_exit2(capsys):
     assert main(["simulate", "--runs", "10"]) == 2
 

@@ -18,12 +18,14 @@ from ncycle import (
     maximally_mixed,
     protocol1_sequence,
     recurrence_sequence,
-    simulate_run,
-    stream_for,
 )
 from ncycle import montecarlo
 from ncycle.montecarlo import _first_draws, _Sampler, analytic_reference, zscores_against
 from ncycle.quantum import handle_state
+
+
+def fresh_generator(seed, stream_id):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
 
 
 def cfg_b5(**kw):
@@ -39,36 +41,35 @@ def cfg_b5(**kw):
     return GameConfig(**base)
 
 
+def first_run_steps(cfg, run):
+    return next(_Sampler(cfg).play(run, run + 1))
+
+
 def test_run_is_deterministic():
     cfg = cfg_b5()
-    assert simulate_run(cfg, 0) == simulate_run(cfg, 0)
-    assert simulate_run(cfg, 3) != simulate_run(cfg, 4)
+    assert first_run_steps(cfg, 0) == first_run_steps(cfg, 0)
+    assert first_run_steps(cfg, 3) != first_run_steps(cfg, 4)
 
 
 def test_run_record_shape():
-    rec = simulate_run(cfg_b5(), 12)
-    assert rec.run_index == 12
-    assert [r.player for r in rec.records] == [1, 2, 3, 4]
-    assert sorted(r.position for r in rec.records) == [1, 2, 3, 4]
-    for r in rec.records:
-        assert 0 <= r.choice < 5
-        assert r.outcome in {f"b{r.choice}", f"!b{r.choice}"}
+    steps = first_run_steps(cfg_b5(), 12)
+    assert [pos for pos, _, _ in steps] == [1, 2, 3, 4]
+    for _, choice, slot in steps:
+        assert 0 <= choice < 5
+        assert slot in (0, 1)
 
 
-def test_fixed_ordering_is_identity():
-    rec = simulate_run(cfg_b5(), 5)
-    assert all(r.player == r.position for r in rec.records)
-
-
-def test_random_ordering_permutes():
-    cfg = cfg_b5(ordering=Ordering.RANDOM_PERMUTATION, runs=200)
-    seen_nontrivial = False
-    for r in range(50):
-        rec = simulate_run(cfg, r)
-        assert sorted(x.position for x in rec.records) == [1, 2, 3, 4]
-        if any(x.player != x.position for x in rec.records):
-            seen_nontrivial = True
-    assert seen_nontrivial
+def test_ordering_does_not_change_the_estimate():
+    # the tallies keep positions, not player identities, so the access order
+    # is only echoed in the config
+    for workers in (1, 2):
+        fixed, shuffled = (
+            estimate_sequence(cfg_b5(runs=300, ordering=o), workers=workers)
+            for o in (Ordering.FIXED, Ordering.RANDOM_PERMUTATION)
+        )
+        assert np.array_equal(fixed.counts, shuffled.counts)
+        assert fixed.estimates == shuffled.estimates
+        assert fixed.stderrs == shuffled.stderrs
 
 
 def test_rekeyed_sampler_matches_fresh_streams():
@@ -79,7 +80,7 @@ def test_rekeyed_sampler_matches_fresh_streams():
     for run, pos in [(0, 1), (0, 2), (5, 0), (77, 3), (65535, 4), (99999, 1)]:
         fast = sampler.stream(run, pos)
         fast_draw = (int(fast.integers(5)), float(fast.random()), float(fast.random()))
-        fresh = stream_for(cfg.seed, run, pos).generator()
+        fresh = fresh_generator(cfg.seed, (run << 16) | pos)
         fresh_draw = (
             int(fresh.integers(5)),
             float(fresh.random()),
@@ -278,7 +279,7 @@ def test_position1_independent_of_later_choices():
 
 
 def fresh_first_draws(seed, stream_id, n):
-    g = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+    g = fresh_generator(seed, stream_id)
     return int(g.integers(n)), float(g.random())
 
 

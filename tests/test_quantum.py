@@ -4,26 +4,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncycle import (
+    AverageChannel,
     Channel,
     DensityMatrix,
     InvariantBreachError,
     Projector,
     ZeroProbabilityBranchError,
-    apply_channel,
     average_protocol_channel,
     born_probability,
     build_scenario,
     extract_recurrence,
     functional_operator,
-    luders_update,
     maximally_mixed,
     pure_state,
     random_pure_state,
 )
-from ncycle.protocols import InequalityId, ProtocolId
+from ncycle.montecarlo import _measure_dichotomic, _measure_full
+from ncycle.protocols import InequalityId, ProtocolId, measurement_set
 from ncycle.quantum import projector_complement, projector_onto
 
 from conftest import oracle_handle_overlap_sq, random_mixed_matrix
+
+
+def complement_branch(m, v):
+    """The sampler's Lüders update on the outcome orthogonal to v: a uniform
+    equal to the weight p0 of v falls outside [0, p0)."""
+    p0 = float(v @ (m @ v))
+    return _measure_dichotomic(m, v, p0)
+
+
+def apply(lam, state):
+    return DensityMatrix(lam.on_matrix(state.m))
+
+
+def iterate(lam, state, k):
+    m = state.m
+    for _ in range(k):
+        m = lam.on_matrix(m)
+    return DensityMatrix(m)
 
 
 def test_born_handle_on_a0(sc5, handle):
@@ -67,14 +85,20 @@ def test_channel_completeness_enforced(sc5):
 
 
 def test_luders_rank1_projects(sc5, handle):
-    out = luders_update(handle, projector_onto(sc5.a(0)))
-    assert np.abs(out.m - np.outer(sc5.a(0), sc5.a(0))).max() < 1e-14
+    a0 = sc5.a(0)
+    slot, out = _measure_dichotomic(handle.m, a0, 0.0)
+    assert slot == 0
+    assert np.abs(out - np.outer(a0, a0)).max() < 1e-14
+    slot, out = _measure_full(handle.m, sc5.outcome_vectors()[0], 0.0)
+    assert slot == 0
+    assert np.abs(out - np.outer(a0, a0)).max() < 1e-14
 
 
 def test_luders_uniform_restriction(sc5):
     proj = projector_complement(sc5.a(0))
-    out = luders_update(maximally_mixed(), proj)
-    assert np.abs(out.m - proj.p / 2.0).max() < 1e-14
+    slot, out = complement_branch(maximally_mixed().m, sc5.a(0))
+    assert slot == 1
+    assert np.abs(out - proj.p / 2.0).max() < 1e-14
 
 
 def test_luders_hand_computed_product(sc5, handle):
@@ -85,29 +109,28 @@ def test_luders_hand_computed_product(sc5, handle):
     rho[2, 2] = 1.0
     expected = proj @ rho @ proj
     expected /= np.trace(expected)
-    got = luders_update(handle, projector_complement(b0))
-    assert np.abs(got.m - expected).max() < 1e-14
+    _, got = complement_branch(handle.m, b0)
+    assert np.abs(got - expected).max() < 1e-14
 
 
 def test_luders_zero_probability_branch(sc5):
-    state = pure_state(sc5.a(0))
-    with pytest.raises(ZeroProbabilityBranchError):
-        luders_update(state, projector_onto(sc5.a(1)))
+    for state, v in [
+        (DensityMatrix(np.diag([1.0, 0.0, 0.0])), np.array([1.0, 0.0, 0.0])),
+        (pure_state(sc5.a(0)), sc5.a(0)),
+    ]:
+        with pytest.raises(ZeroProbabilityBranchError):
+            complement_branch(state.m, v)
 
 
 def test_apply_channel_fixed_point(sc5):
-    from ncycle.protocols import measurement_set
-
     ch = measurement_set(sc5, ProtocolId.FULL, 0)
-    out = apply_channel(maximally_mixed(), ch)
+    out = apply(AverageChannel(channels=(ch,)), maximally_mixed())
     assert np.abs(out.m - np.eye(3) / 3).max() < 1e-14
 
 
 def test_full_channel_decoheres_in_context_basis(sc5, handle):
-    from ncycle.protocols import measurement_set
-
     ch = measurement_set(sc5, ProtocolId.FULL, 2)
-    out = apply_channel(handle, ch)
+    out = apply(AverageChannel(channels=(ch,)), handle)
     basis = np.stack([sc5.a(2), sc5.b(2), sc5.a(3)])
     in_basis = basis @ out.m @ basis.T
     off = in_basis - np.diag(np.diag(in_basis))
@@ -115,22 +138,20 @@ def test_full_channel_decoheres_in_context_basis(sc5, handle):
 
 
 def test_dichotomic_channel_matches_matrix_sum(sc5, handle):
-    from ncycle.protocols import measurement_set
-
     ch = measurement_set(sc5, ProtocolId.A_ONLY, 0)
     p = np.outer(sc5.a(0), sc5.a(0))
     q = np.eye(3) - p
     rho = np.zeros((3, 3))
     rho[2, 2] = 1.0
     expected = p @ rho @ p + q @ rho @ q
-    got = apply_channel(handle, ch)
+    got = apply(AverageChannel(channels=(ch,)), handle)
     assert np.abs(got.m - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("protocol", list(ProtocolId))
 def test_average_channel_unital(sc9, protocol):
     lam = average_protocol_channel(sc9, protocol)
-    out = lam(maximally_mixed())
+    out = apply(lam, maximally_mixed())
     assert np.abs(out.m - np.eye(3) / 3).max() < 1e-12
 
 
@@ -142,7 +163,7 @@ def test_average_channel_preserves_trace(n, protocol):
     rng = np.random.default_rng(n)
     for _ in range(3):
         rho = DensityMatrix(random_mixed_matrix(int(rng.integers(1 << 31))))
-        assert abs(np.trace(lam(rho).m) - 1.0) < 1e-12
+        assert abs(np.trace(apply(lam, rho).m) - 1.0) < 1e-12
 
 
 def test_bonly_channel_reproduces_recurrence_coefficients(sc5):
@@ -153,7 +174,7 @@ def test_bonly_channel_reproduces_recurrence_coefficients(sc5):
     lam = average_protocol_channel(sc5, ProtocolId.B_ONLY)
     for seed in range(20):
         rho = DensityMatrix(random_mixed_matrix(seed))
-        lhs = fop.value(lam(rho).m)
+        lhs = fop.value(apply(lam, rho).m)
         rhs = coeffs.slope * fop.value(rho.m) + coeffs.offset
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -161,7 +182,7 @@ def test_bonly_channel_reproduces_recurrence_coefficients(sc5):
 @pytest.mark.parametrize("protocol", list(ProtocolId))
 def test_handle_converges_to_maximally_mixed_n5(protocol, sc5, handle):
     lam = average_protocol_channel(sc5, protocol)
-    out = lam.iterate(handle, 200)
+    out = iterate(lam, handle, 200)
     assert np.abs(out.m - np.eye(3) / 3).max() < 1e-8
 
 
@@ -171,7 +192,7 @@ def test_random_states_converge_n5(protocol, sc5):
     lam = average_protocol_channel(sc5, protocol)
     rng = np.random.default_rng(7)
     for _ in range(10):
-        out = lam.iterate(random_pure_state(rng), 200)
+        out = iterate(lam, random_pure_state(rng), 200)
         assert np.abs(out.m - np.eye(3) / 3).max() < 1e-8
 
 
@@ -189,9 +210,16 @@ def test_luders_output_is_valid_state(seed, vec_seed, rank):
     p = born_probability(state, proj)
     if p <= 1e-12:
         return
-    out = luders_update(state, proj)  # __post_init__ re-validates
-    assert abs(np.trace(out.m) - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(out.m).min() > -1e-10
+    if rank == 1:
+        slot, out = _measure_dichotomic(state.m, v, 0.0)
+    else:
+        slot, out = complement_branch(state.m, v)
+    assert slot == rank - 1
+    oracle = proj.p @ state.m @ proj.p / p
+    assert np.abs(out - oracle).max() < 1e-13 / p
+    out = DensityMatrix(out).m  # __post_init__ re-validates
+    assert abs(np.trace(out) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(out).min() > -1e-10
 
 
 def test_random_pure_state_is_pure():
