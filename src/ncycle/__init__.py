@@ -27,7 +27,6 @@ from .errors import (
     InsufficientRunsError,
     InvariantBreachError,
     NCycleError,
-    NoConvergenceError,
     PairingError,
     SymmetryBreachError,
     UnsupportedScenarioError,

@@ -10,13 +10,14 @@ Three independent computation paths produce the same per-player values:
 * :func:`channel_sequence` iterates the average measurement channel directly
   and traces against the functional operator (the oracle path).
 
-All sequences contract geometrically onto the common asymptote n/3, so
-crossing points (K_max) are found exactly by extension with the stored
-contraction factor.
+All sequences contract geometrically onto the common asymptote n/3, so each
+crossing point (K_max) is decided from the closed form in the first value and
+the contraction factor, by bisection on the player count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +25,12 @@ import numpy as np
 from .errors import (
     DecompositionFailureError,
     InvariantBreachError,
-    NoConvergenceError,
     PairingError,
     SymmetryBreachError,
 )
 from .protocols import (
     InequalityId,
     ProtocolId,
-    Verdict,
     estimator_weights,
     evaluate,
     functional_operator,
@@ -45,10 +44,6 @@ from .quantum import (
     random_pure_state,
 )
 from .scenario import Scenario, build_scenario
-
-#: Defensive cap on sequence extension; geometric contraction always crosses
-#: far earlier, so hitting the cap indicates a logic bug, not slow convergence.
-EXTENSION_CAP = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +105,8 @@ class SequenceResult:
     """Per-player inequality values with violation verdicts and crossing points.
 
     ``values[i]`` is player ``k = i + 1``.  ``kmax_fixed`` and ``kmax_uniform``
-    describe the full geometric sequence: if the requested length stops while
-    still violating, the sequence is extended internally (exactly, via
-    ``decay_rate``) until the crossing is found.
+    describe the full geometric sequence, whatever the requested length: they
+    are decided from ``values[0]`` and ``decay_rate`` alone.
     """
 
     n: int
@@ -124,9 +118,6 @@ class SequenceResult:
     kmax_uniform: int
     asymptote: float
     decay_rate: float
-
-    def verdict(self, k: int) -> Verdict:
-        return evaluate(self.values[k - 1], self.ineq, self.n)
 
 
 def _t_from_scenario(sc: Scenario) -> float:
@@ -252,8 +243,8 @@ def extract_recurrence(
         raise InvariantBreachError(
             "extracted recurrence coefficients disagree with their closed forms"
         )
-    if not abs(slope) < 1.0:
-        raise InvariantBreachError(f"recurrence slope {slope!r} is not contracting")
+    if not 0.0 < slope < 1.0:
+        raise InvariantBreachError(f"recurrence slope {slope!r} is not in (0, 1)")
     return RecurrenceCoeffs(slope=slope, offset=offset, lambda0=lam0, lambda1=lam1)
 
 
@@ -322,58 +313,48 @@ def _finish(
     rate: float,
 ) -> SequenceResult:
     verdicts = [evaluate(v, ineq, n).violates for v in values]
+    asym = n / 3.0
+    d = values[0] - asym
     return SequenceResult(
         n=n,
         protocol=protocol,
         ineq=ineq,
         values=tuple(values),
         verdicts=tuple(verdicts),
-        kmax_fixed=_kmax_fixed(values, rate, ineq, n),
-        kmax_uniform=_kmax_uniform(values, rate, ineq, n),
-        asymptote=n / 3.0,
+        kmax_fixed=_last_violating(lambda k: asym + rate ** (k - 1) * d, ineq, n),
+        kmax_uniform=_last_violating(
+            lambda k: asym + d * (1.0 - rate**k) / (k * (1.0 - rate)), ineq, n
+        ),
+        asymptote=asym,
         decay_rate=rate,
     )
 
 
-def _extended(values: list[float] | tuple[float, ...], rate: float, n: int):
-    """Yield the sequence values, continuing exactly past the stored range."""
-    asym = n / 3.0
-    last = None
-    for v in values:
-        last = v
-        yield v
-    for _ in range(EXTENSION_CAP):
-        last = asym + rate * (last - asym)
-        yield last
-    raise NoConvergenceError(
-        f"no convergence: sequence still undecided after {EXTENSION_CAP} players"
-    )
+def _last_violating(value_at: Callable[[int], float], ineq: InequalityId, n: int) -> int:
+    """Largest K whose ``value_at(K)`` violates, or 0 if K = 1 does not.
 
+    ``value_at`` is player K's value ``n/3 + r^(K-1) d`` (fixed order) or the
+    prefix mean of the first K of them (uniform order).  Both approach n/3
+    monotonically when ``0 < r < 1``, which every engine's rate satisfies, so
+    the violating K form a prefix.  Doubling K finds one that does not violate,
+    and bisection then returns the K that violates while K + 1 does not.
+    """
 
-def _kmax_fixed(values, rate: float, ineq: InequalityId, n: int) -> int:
-    """Largest player index whose own value still violates (0 if none).
+    def violates(k: int) -> bool:
+        return evaluate(value_at(k), ineq, n).violates
 
-    Values contract monotonically onto n/3, so violations form a prefix."""
-    kmax = 0
-    for k, v in enumerate(_extended(values, rate, n), start=1):
-        if evaluate(v, ineq, n).violates:
-            kmax = k
+    if not violates(1):
+        return 0
+    lo, hi = 1, 2
+    while violates(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if violates(mid):
+            lo = mid
         else:
-            return kmax
-    return kmax
-
-
-def _kmax_uniform(values, rate: float, ineq: InequalityId, n: int) -> int:
-    """Largest K whose position-averaged value (1/K) sum_{k<=K} still violates."""
-    kmax = 0
-    total = 0.0
-    for k, v in enumerate(_extended(values, rate, n), start=1):
-        total += v
-        if evaluate(total / k, ineq, n).violates:
-            kmax = k
-        else:
-            return kmax
-    return kmax
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -408,11 +389,11 @@ def table1(n_list) -> list[Table1Row]:
         sc = build_scenario(n)
         h = handle_state()
         full = [
-            protocol1_sequence(sc, ineq, h, k_max=8)
+            protocol1_sequence(sc, ineq, h, k_max=1)
             for ineq in (InequalityId.ALPHA, InequalityId.BETA)
         ]
-        seq_a = recurrence_sequence(sc, ProtocolId.A_ONLY, InequalityId.ALPHA, h, k_max=8)
-        seq_b = recurrence_sequence(sc, ProtocolId.B_ONLY, InequalityId.BETA, h, k_max=8)
+        seq_a = recurrence_sequence(sc, ProtocolId.A_ONLY, InequalityId.ALPHA, h, k_max=1)
+        seq_b = recurrence_sequence(sc, ProtocolId.B_ONLY, InequalityId.BETA, h, k_max=1)
         rows.append(
             Table1Row(
                 n=n,

@@ -37,9 +37,5 @@ class DecompositionFailureError(NCycleError):
     """Channel image of a functional operator left span{F, identity}."""
 
 
-class NoConvergenceError(NCycleError):
-    """Sequence extension hit the defensive iteration cap without crossing."""
-
-
 #: Errors that indicate bad user input rather than an internal defect.
 USAGE_ERRORS = (UnsupportedScenarioError, PairingError, InsufficientRunsError)

@@ -11,6 +11,8 @@ from ncycle import (
     SymmetryBreachError,
     build_scenario,
     channel_sequence,
+    evaluate,
+    exact_sequence,
     extract_recurrence,
     handle_state,
     markov_matrix,
@@ -27,6 +29,13 @@ from ncycle.scenario import Scenario
 from conftest import oracle_a_vectors, random_mixed_matrix
 
 ODD_NS = list(range(5, 21, 2))
+
+PAIRINGS = [
+    (ProtocolId.FULL, InequalityId.ALPHA),
+    (ProtocolId.FULL, InequalityId.BETA),
+    (ProtocolId.A_ONLY, InequalityId.ALPHA),
+    (ProtocolId.B_ONLY, InequalityId.BETA),
+]
 
 
 def oracle_t(n: int) -> float:
@@ -237,7 +246,8 @@ def test_recurrence_sequence_n9_alpha(handle):
 
 
 def test_kmax_fields_independent_of_requested_length(sc5, handle):
-    # crossing points come from exact extension, not from the stored window
+    # crossing points come from the closed form in values[0] and the rate,
+    # not from the stored window
     short = recurrence_sequence(sc5, ProtocolId.B_ONLY, InequalityId.BETA, handle, 1)
     long = recurrence_sequence(sc5, ProtocolId.B_ONLY, InequalityId.BETA, handle, 64)
     assert short.kmax_fixed == long.kmax_fixed == 2
@@ -270,6 +280,75 @@ def test_kmax_uniform_n9_boundary(handle):
     s8 = sum(seq.values[:8])
     assert s8 / 8 == pytest.approx(1.0010711149, abs=1e-9)
     assert seq.kmax_uniform == 7
+
+
+#: Players the stepping oracle may add past the stored values before giving up.
+EXTENSION_CAP = 10_000
+
+
+def _extended(values, rate: float, n: int):
+    """Yield the sequence values, continuing exactly past the stored range."""
+    asym = n / 3.0
+    last = None
+    for v in values:
+        last = v
+        yield v
+    for _ in range(EXTENSION_CAP):
+        last = asym + rate * (last - asym)
+        yield last
+    raise RuntimeError(f"sequence still undecided after {EXTENSION_CAP} players")
+
+
+def stepped_kmax(values, rate: float, ineq: InequalityId, n: int) -> tuple[int, int]:
+    """(kmax_fixed, kmax_uniform) by stepping one player at a time: the
+    library's former method, kept as an oracle for the closed form."""
+    kmax_fixed = 0
+    for k, v in enumerate(_extended(values, rate, n), start=1):
+        if evaluate(v, ineq, n).violates:
+            kmax_fixed = k
+        else:
+            break
+    kmax_uniform = 0
+    total = 0.0
+    for k, v in enumerate(_extended(values, rate, n), start=1):
+        total += v
+        if evaluate(total / k, ineq, n).violates:
+            kmax_uniform = k
+        else:
+            break
+    return kmax_fixed, kmax_uniform
+
+
+@pytest.mark.parametrize("n", list(range(5, 102, 2)) + [401, 1001, 2001])
+def test_closed_form_kmax_matches_stepping(n, handle):
+    sc = build_scenario(n)
+    for protocol, ineq in PAIRINGS:
+        seq = exact_sequence(sc, protocol, ineq, handle, 8)
+        expected = stepped_kmax(seq.values, seq.decay_rate, ineq, n)
+        assert (seq.kmax_fixed, seq.kmax_uniform) == expected, (protocol, ineq)
+
+
+def test_closed_form_kmax_past_the_old_cap():
+    # synthetic b-protocol cell at N=20001: the stepping oracle gives up on the
+    # uniform order here, while 4N/pi^2 = 8106.1 and 8N/pi^2 = 16212.2
+    n = 20001
+    v1 = math.pi**2 / (4 * n)
+    r = 1 - 3 * math.pi**2 / (4 * n**2)
+    seq = analytic._finish(n, ProtocolId.B_ONLY, InequalityId.BETA, [v1], r)
+    assert (seq.kmax_fixed, seq.kmax_uniform) == (8106, 16212)
+    d = v1 - n / 3
+
+    def fixed(k):
+        return n / 3 + r ** (k - 1) * d
+
+    def uniform(k):
+        return n / 3 + d * (1 - r**k) / (k * (1 - r))
+
+    for value_at, k in ((fixed, seq.kmax_fixed), (uniform, seq.kmax_uniform)):
+        assert evaluate(value_at(k), InequalityId.BETA, n).violates
+        assert not evaluate(value_at(k + 1), InequalityId.BETA, n).violates
+    with pytest.raises(RuntimeError, match="undecided"):
+        stepped_kmax([v1], r, InequalityId.BETA, n)
 
 
 COMPUTED_TABLE = {
@@ -401,5 +480,6 @@ def test_alpha_contraction_convention_equivalence(sc9):
 
 def test_sequence_verdict_accessor(sc5, handle):
     seq = recurrence_sequence(sc5, ProtocolId.B_ONLY, InequalityId.BETA, handle, 5)
-    assert seq.verdict(1).violates
-    assert seq.verdict(1).margin == pytest.approx(2 * math.sqrt(5) - 4, abs=1e-12)
+    verdict = evaluate(seq.values[0], InequalityId.BETA, 5)
+    assert verdict.violates
+    assert verdict.margin == pytest.approx(2 * math.sqrt(5) - 4, abs=1e-12)
