@@ -31,9 +31,12 @@ from .errors import (
 from .protocols import (
     InequalityId,
     ProtocolId,
+    check_pairing,
     estimator_weights,
     evaluate,
     functional_operator,
+    inequalities,
+    slot_vectors,
 )
 from .quantum import (
     DensityMatrix,
@@ -155,11 +158,7 @@ def _markov_from_overlaps(sc: Scenario) -> np.ndarray:
 def context_probabilities(sc: Scenario, state: DensityMatrix, i: int) -> np.ndarray:
     """Outcome distribution (p(a_i), p(b_i), p(a_{i+1})) of context i."""
     p = np.array(
-        [
-            born_probability(state, projector_onto(sc.a(i))),
-            born_probability(state, projector_onto(sc.b(i))),
-            born_probability(state, projector_onto(sc.a(i + 1))),
-        ]
+        [born_probability(state, projector_onto(v)) for v in slot_vectors(sc, ProtocolId.FULL, i)]
     )
     if abs(p.sum() - 1.0) > 1e-12:
         raise InvariantBreachError(f"context {i} probabilities sum to {p.sum()!r}")
@@ -174,19 +173,6 @@ def aggregate_probability_vector(sc: Scenario, state: DensityMatrix) -> np.ndarr
     return q
 
 
-def _check_pairing(protocol: ProtocolId, ineq: InequalityId) -> None:
-    ok = (
-        protocol is ProtocolId.FULL
-        or (protocol is ProtocolId.A_ONLY and ineq is InequalityId.ALPHA)
-        or (protocol is ProtocolId.B_ONLY and ineq is InequalityId.BETA)
-    )
-    if not ok:
-        raise PairingError(
-            f"pairing error: protocol {protocol.value!r} does not evaluate "
-            f"inequality {ineq.value!r}"
-        )
-
-
 def protocol1_sequence(
     sc: Scenario, ineq: InequalityId, initial: DensityMatrix, k_max: int
 ) -> SequenceResult:
@@ -194,7 +180,7 @@ def protocol1_sequence(
 
     The first player's aggregated outcome vector comes from Born probabilities;
     later players follow by repeated application of the transition matrix, and
-    each value is the contraction with (1/2, 0, 1/2) or (0, 1, 0).
+    each value is the contraction with the pairing's estimator weights.
     """
     if k_max < 1:
         raise InvariantBreachError(f"k_max must be >= 1, got {k_max}")
@@ -223,7 +209,7 @@ def extract_recurrence(
     """
     if protocol is ProtocolId.FULL:
         raise PairingError("pairing error: recurrence coefficients need a dichotomic protocol")
-    _check_pairing(protocol, ineq)
+    check_pairing(protocol, ineq)
     fop = functional_operator(sc, ineq)
     lam0, lam1 = fop.sector_eigenvalues(sc.handle)
     lam = average_protocol_channel(sc, protocol)
@@ -290,7 +276,7 @@ def channel_sequence(
     """Oracle path: values[k] = trace(F Lambda^(k-1)(rho)) by direct iteration."""
     if k_max < 1:
         raise InvariantBreachError(f"k_max must be >= 1, got {k_max}")
-    _check_pairing(protocol, ineq)
+    check_pairing(protocol, ineq)
     fop = functional_operator(sc, ineq)
     lam = average_protocol_channel(sc, protocol)
     m = initial.m
@@ -360,8 +346,9 @@ def _last_violating(value_at: Callable[[int], float], ineq: InequalityId, n: int
 @dataclass(frozen=True)
 class Table1Row:
     """K_max values for one cycle length: fixed player order and randomized
-    order, for the complete protocol (worse of the two inequalities is taken,
-    i.e. the max) and each dichotomic protocol."""
+    order, for each protocol (fields end in its ``ProtocolId`` value).  Each is
+    the max over the inequalities the protocol evaluates, so the complete
+    protocol takes the worse of the two."""
 
     n: int
     fixed_full: int
@@ -388,23 +375,12 @@ def table1(n_list) -> list[Table1Row]:
     for n in n_list:
         sc = build_scenario(n)
         h = handle_state()
-        full = [
-            protocol1_sequence(sc, ineq, h, k_max=1)
-            for ineq in (InequalityId.ALPHA, InequalityId.BETA)
-        ]
-        seq_a = recurrence_sequence(sc, ProtocolId.A_ONLY, InequalityId.ALPHA, h, k_max=1)
-        seq_b = recurrence_sequence(sc, ProtocolId.B_ONLY, InequalityId.BETA, h, k_max=1)
-        rows.append(
-            Table1Row(
-                n=n,
-                fixed_full=max(s.kmax_fixed for s in full),
-                fixed_a=seq_a.kmax_fixed,
-                fixed_b=seq_b.kmax_fixed,
-                uniform_full=max(s.kmax_uniform for s in full),
-                uniform_a=seq_a.kmax_uniform,
-                uniform_b=seq_b.kmax_uniform,
-            )
-        )
+        kmax = {}
+        for p in ProtocolId:
+            seqs = [exact_sequence(sc, p, ineq, h, k_max=1) for ineq in inequalities(p)]
+            kmax[f"fixed_{p.value}"] = max(s.kmax_fixed for s in seqs)
+            kmax[f"uniform_{p.value}"] = max(s.kmax_uniform for s in seqs)
+        rows.append(Table1Row(n=n, **kmax))
     return rows
 
 
@@ -433,7 +409,7 @@ def optimal_initial_state_check(
     """
     if trials < 1:
         raise InvariantBreachError(f"trials must be >= 1, got {trials}")
-    _check_pairing(protocol, ineq)
+    check_pairing(protocol, ineq)
     k_checked = 30
     rng = np.random.default_rng(seed)
 

@@ -10,9 +10,14 @@ coefficients).
 Every command is deterministic given its flags; exit codes are 0 (success),
 1 (internal invariant breach), 2 (usage error).  Flag values take precedence
 over an optional JSON config file (``--config``), which takes precedence over
-defaults; each config value must have the type of its default (``out`` takes a
-string or null) and, for an option with fixed choices, be one the flag
-accepts, or the command exits 2.
+defaults; each config value must, for an option with fixed choices, be one the
+flag accepts, and otherwise have the type of its default (``out`` takes a
+string or null), or the command exits 2.  ``--ineq`` defaults to the
+protocol's own inequality (the first of ``protocols.inequalities``).
+
+Each subcommand has one flag per key of its ``_DEFAULTS`` entry: the flag's
+type is its default's, and the choices of ``protocol``, ``ineq`` and
+``ordering`` are the values of their enums.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Any
 
 from . import analytic, montecarlo
 from .errors import USAGE_ERRORS, NCycleError
-from .protocols import InequalityId, ProtocolId, functional_operator
+from .protocols import InequalityId, ProtocolId, functional_operator, inequalities
 from .quantum import handle_state
 from .scenario import build_scenario, enumerate_classical_bounds
 
@@ -34,7 +39,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "sequence": {
         "n": 5,
         "protocol": "full",
-        "ineq": "alpha",
+        "ineq": None,
         "k": 30,
         "format": "csv",
         "out": None,
@@ -43,7 +48,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "simulate": {
         "n": 5,
         "protocol": "full",
-        "ineq": "alpha",
+        "ineq": None,
         "players": 2,
         "runs": 10000,
         "seed": 0,
@@ -61,9 +66,23 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
 #: flags and config files alike.
 _CHOICES: dict[str, tuple[str, ...]] = {
     "format": ("csv", "json"),
-    "protocol": ("full", "a", "b"),
-    "ineq": ("alpha", "beta"),
-    "ordering": ("fixed", "random"),
+    "protocol": tuple(p.value for p in ProtocolId),
+    "ineq": tuple(i.value for i in InequalityId),
+    "ordering": tuple(o.value for o in montecarlo.Ordering),
+}
+
+#: ``--help`` text of each subcommand and of the flags that have one.
+_HELP: dict[str, str] = {
+    "table1": "K_max table for a range of cycle lengths",
+    "sequence": "per-player inequality values",
+    "simulate": "Monte Carlo game simulation",
+    "bounds": "classical bounds: exact optimum over all assignments (transfer matrix)",
+    "asymptote": "limit value and recurrence coefficients",
+    "k": "number of players",
+    "compare": "append analytic truth and z-scores",
+    "out": "output path (default: stdout)",
+    "precision": "significant digits for csv floats (1..17)",
+    "config": "JSON config file",
 }
 
 
@@ -77,49 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sequential measurement game on odd cycle contextuality scenarios",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=_CHOICES["format"], default=None)
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--precision", type=int, default=None,
-                       help="significant digits for csv floats (1..17)")
-        p.add_argument("--config", default=None, help="JSON config file")
-
-    p = sub.add_parser("table1", help="K_max table for a range of cycle lengths")
-    p.add_argument("--n-min", dest="n_min", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("sequence", help="per-player inequality values")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--protocol", choices=_CHOICES["protocol"], default=None)
-    p.add_argument("--ineq", choices=_CHOICES["ineq"], default=None)
-    p.add_argument("--k", type=int, default=None, help="number of players")
-    add_common(p)
-
-    p = sub.add_parser("simulate", help="Monte Carlo game simulation")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--protocol", choices=_CHOICES["protocol"], default=None)
-    p.add_argument("--ineq", choices=_CHOICES["ineq"], default=None)
-    p.add_argument("--players", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--ordering", choices=_CHOICES["ordering"], default=None)
-    p.add_argument("--compare", action="store_true", default=None,
-                   help="append analytic truth and z-scores")
-    add_common(p)
-
-    p = sub.add_parser(
-        "bounds",
-        help="classical bounds: exact optimum over all assignments (transfer matrix)",
-    )
-    p.add_argument("--n", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("asymptote", help="limit value and recurrence coefficients")
-    p.add_argument("--n", type=int, default=None)
-    add_common(p)
-
+    for command, defaults in _DEFAULTS.items():
+        p = sub.add_parser(command, help=_HELP[command])
+        for key, default in defaults.items():
+            kwargs: dict[str, Any] = {"dest": key, "default": None, "help": _HELP.get(key)}
+            if isinstance(default, bool):
+                kwargs["action"] = "store_true"
+            elif key in _CHOICES:
+                kwargs["choices"] = _CHOICES[key]
+            elif default is not None:
+                kwargs["type"] = type(default)
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
+        p.add_argument("--config", default=None, help=_HELP["config"])
     return parser
 
 
@@ -139,10 +127,10 @@ def _merge_options(args: argparse.Namespace) -> dict[str, Any]:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
             default = merged[key]
-            if default is None:  # out: a path, or null for stdout
-                ok, want = value is None or isinstance(value, str), "a string or null"
-            elif key in _CHOICES:
+            if key in _CHOICES:
                 ok, want = value in _CHOICES[key], f"one of {list(_CHOICES[key])}"
+            elif default is None:  # out: a path, or null for stdout
+                ok, want = value is None or isinstance(value, str), "a string or null"
             else:  # exact type, so a bool is no int
                 ok, want = type(value) is type(default), type(default).__name__
             if not ok:
@@ -152,6 +140,8 @@ def _merge_options(args: argparse.Namespace) -> dict[str, Any]:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    if "ineq" in merged and merged["ineq"] is None:
+        merged["ineq"] = inequalities(ProtocolId(merged["protocol"]))[0].value
     precision = merged.get("precision", 12)
     if not isinstance(precision, int) or not 1 <= precision <= 17:
         raise UsageError(f"precision must be an integer in 1..17, got {precision!r}")
@@ -309,22 +299,21 @@ def cmd_asymptote(opts: dict[str, Any]) -> str:
     mm = analytic.markov_matrix(n)
     full_slope = mm.decay_rate
     full_offset = (n / 3.0) * (1.0 - full_slope)
-    rec_a = analytic.extract_recurrence(sc, ProtocolId.A_ONLY, InequalityId.ALPHA)
-    rec_b = analytic.extract_recurrence(sc, ProtocolId.B_ONLY, InequalityId.BETA)
+    recs = {
+        p: analytic.extract_recurrence(sc, p, inequalities(p)[0])
+        for p in ProtocolId
+        if p is not ProtocolId.FULL
+    }
     if opts["format"] == "json":
         payload = {
             "n": n,
             "asymptote": n / 3.0,
             "full": {"t": mm.t, "slope": full_slope, "offset": full_offset},
-            "a": {"slope": rec_a.slope, "offset": rec_a.offset},
-            "b": {"slope": rec_b.slope, "offset": rec_b.offset},
+            **{p.value: {"slope": r.slope, "offset": r.offset} for p, r in recs.items()},
         }
         return _emit_json(payload)
-    rows = [
-        ["full", full_slope, full_offset, n / 3.0],
-        ["a", rec_a.slope, rec_a.offset, n / 3.0],
-        ["b", rec_b.slope, rec_b.offset, n / 3.0],
-    ]
+    rows = [["full", full_slope, full_offset, n / 3.0]]
+    rows += [[p.value, r.slope, r.offset, n / 3.0] for p, r in recs.items()]
     return _emit_csv(["protocol", "slope", "offset", "asymptote"], rows, opts["precision"])
 
 

@@ -15,8 +15,9 @@ A player's choice and outcome uniform are the first two draws of its stream,
 Philox4x64-10 block, computed for a block of (run, position) lanes at once:
 the choice is Lemire's bounded draw on the low 32 bits of word 0, the uniform
 is ``(word1 >> 11) * 2^-53``.  A lane whose bounded draw Lemire rejects (odds
-about n * 2^-32) is redrawn from its stream generator, so every draw equals
-the one a fresh ``Generator(Philox(key=[seed, stream_id]))`` makes.
+about n * 2^-32) is redrawn from a fresh
+``Generator(Philox(key=[seed, stream_id]))``, so every draw equals the one the
+documented derivation makes.
 """
 
 from __future__ import annotations
@@ -26,13 +27,20 @@ from enum import Enum
 
 import numpy as np
 
-from .analytic import _check_pairing, exact_sequence
+from .analytic import exact_sequence
 from .errors import (
     InsufficientRunsError,
     InvariantBreachError,
     ZeroProbabilityBranchError,
 )
-from .protocols import InequalityId, ProtocolId, estimator_weights, outcome_labels
+from .protocols import (
+    SLOTS,
+    InequalityId,
+    ProtocolId,
+    check_pairing,
+    estimator_weights,
+    outcome_labels,
+)
 from .quantum import DensityMatrix, handle_state
 from .scenario import build_scenario
 
@@ -71,7 +79,7 @@ class GameConfig:
             raise InvariantBreachError(f"runs must be in [1, 2^48), got {self.runs}")
         if not 0 <= self.seed < 1 << 64:
             raise InvariantBreachError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        _check_pairing(self.protocol, self.ineq)
+        check_pairing(self.protocol, self.ineq)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,51 +148,36 @@ class _Sampler:
 
     ``play`` takes every (run, position) lane's choice and uniform from
     ``_first_draws``, a block of ``_LANES`` lanes at a time; the rare lane
-    Lemire rejects is redrawn through ``stream``.  ``stream`` rekeys one
-    generator through its state dict, which reproduces exactly the stream a
-    fresh Philox construction with the same key would emit (asserted by the
-    test suite), at a fraction of the construction cost.
+    Lemire rejects is redrawn from a fresh generator on the lane's key.  The
+    measurement vectors, outcome count and update kernel follow the protocol's
+    ``SLOTS``: one slot is a dichotomic measurement against its complement.
     """
 
     def __init__(self, cfg: GameConfig):
         self.cfg = cfg
-        u = build_scenario(cfg.n).outcome_vectors()
-        if cfg.protocol is ProtocolId.FULL:
-            self.vectors = u
-        elif cfg.protocol is ProtocolId.A_ONLY:
-            self.vectors = u[:, 0]
+        slots = SLOTS[cfg.protocol]
+        u = build_scenario(cfg.n).outcome_vectors()[:, list(slots)]
+        if len(slots) == 1:  # the slot's projector and its complement
+            self.vectors, self.n_outcomes, self.measure = u[:, 0], 2, _measure_dichotomic
         else:
-            self.vectors = u[:, 1]
-        self.n_outcomes = 3 if cfg.protocol is ProtocolId.FULL else 2
-        self._bg = np.random.Philox(key=np.array([0, 0], dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
-        self._template = self._bg.state
-
-    def stream(self, run_index: int, position: int) -> np.random.Generator:
-        s = self._template
-        s["state"]["key"][0] = self.cfg.seed
-        s["state"]["key"][1] = (run_index << 16) | position
-        s["state"]["counter"][:] = 0
-        s["buffer_pos"] = 4
-        s["has_uint32"] = 0
-        s["uinteger"] = 0
-        self._bg.state = s
-        return self._gen
+            self.vectors, self.n_outcomes, self.measure = u, len(slots), _measure_full
 
     def play(self, start: int, stop: int):
         """Yield, for each run in [start, stop), its (position, choice, outcome_slot) steps."""
         cfg = self.cfg
         players = cfg.players
-        measure = _measure_full if cfg.protocol is ProtocolId.FULL else _measure_dichotomic
+        measure = self.measure
         total = (stop - start) * players
         for lo in range(0, total, _LANES):
             lanes = np.arange(lo, min(lo + _LANES, total), dtype=np.uint64)
             runs = lanes // np.uint64(players) + np.uint64(start)
             positions = lanes % np.uint64(players) + np.uint64(1)
-            choice, u, reject = _first_draws(cfg.seed, (runs << np.uint64(16)) | positions, cfg.n)
+            ids = (runs << np.uint64(16)) | positions
+            choice, u, reject = _first_draws(cfg.seed, ids, cfg.n)
             choices, us = choice.tolist(), u.tolist()
             for j in np.flatnonzero(reject).tolist():
-                g = self.stream(int(runs[j]), int(positions[j]))
+                key = np.array([cfg.seed, ids[j]], dtype=np.uint64)
+                g = np.random.Generator(np.random.Philox(key=key))
                 choices[j], us[j] = int(g.integers(cfg.n)), float(g.random())
             for pos, c, x in zip(positions.tolist(), choices, us):
                 if pos == 1:
@@ -243,7 +236,6 @@ class SimulationEstimate:
     estimates: tuple[float, ...]
     stderrs: tuple[float, ...]
     counts: np.ndarray
-    runs_used: int
 
     def to_json_dict(self) -> dict:
         n = self.config.n
@@ -315,7 +307,6 @@ def estimate_sequence(cfg: GameConfig, workers: int = 1) -> SimulationEstimate:
         estimates=tuple(float(x) for x in mean),
         stderrs=tuple(float(x) for x in stderr),
         counts=counts,
-        runs_used=r,
     )
 
 

@@ -10,6 +10,10 @@ state differently in sequence:
 The inequality functionals are evaluated as operators: sum of the |a_i><a_i|
 projectors for the upper-bounded sum of a-probabilities, sum of |b_i><b_i|
 for the lower-bounded sum of b-probabilities.
+
+Two tables are the one home of the protocol facts: ``SLOTS`` (which of
+context i's outcome vectors each protocol projects onto) and ``WEIGHTS``
+(the estimator weights of every valid protocol/inequality pairing).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantBreachError
+from .errors import InvariantBreachError, PairingError
 from .quantum import Channel, projector_complement, projector_onto
 from .scenario import Scenario
 
@@ -39,6 +43,48 @@ class InequalityId(enum.Enum):
 
     def bound(self, n: int) -> float:
         return (n - 1) / 2 if self is InequalityId.ALPHA else 1.0
+
+
+#: Which of context i's outcome vectors (a_i, b_i, a_{i+1}), the columns of
+#: ``Scenario.outcome_vectors()``, each protocol projects onto.  One slot means
+#: a dichotomic measurement whose second outcome is the slot's complement.
+SLOTS: dict[ProtocolId, tuple[int, ...]] = {
+    ProtocolId.FULL: (0, 1, 2),
+    ProtocolId.A_ONLY: (0,),
+    ProtocolId.B_ONLY: (1,),
+}
+
+#: Weights over one measurement's outcomes, in ``SLOTS`` order with a
+#: dichotomic complement last.  Contracted with each measurement's outcome
+#: distribution and summed over the n measurements, they give the inequality
+#: value.  The keys are the valid pairings, each protocol's default first: a
+#: dichotomic protocol evaluates only the inequality of its own vectors
+#: (Araujo et al., PRA 88, 022118 (2013)).
+WEIGHTS: dict[tuple[ProtocolId, InequalityId], tuple[float, ...]] = {
+    (ProtocolId.FULL, InequalityId.ALPHA): (0.5, 0.0, 0.5),
+    (ProtocolId.FULL, InequalityId.BETA): (0.0, 1.0, 0.0),
+    (ProtocolId.A_ONLY, InequalityId.ALPHA): (1.0, 0.0),
+    (ProtocolId.B_ONLY, InequalityId.BETA): (1.0, 0.0),
+}
+
+
+def inequalities(protocol: ProtocolId) -> tuple[InequalityId, ...]:
+    """The inequalities a protocol evaluates, its default first."""
+    return tuple(ineq for p, ineq in WEIGHTS if p is protocol)
+
+
+def check_pairing(protocol: ProtocolId, ineq: InequalityId) -> None:
+    if (protocol, ineq) not in WEIGHTS:
+        raise PairingError(
+            f"pairing error: protocol {protocol.value!r} does not evaluate "
+            f"inequality {ineq.value!r}"
+        )
+
+
+def slot_vectors(sc: Scenario, protocol: ProtocolId, i: int) -> list[np.ndarray]:
+    """The outcome vectors of context i that the protocol projects onto."""
+    context = (sc.a(i), sc.b(i), sc.a(i + 1))
+    return [context[s] for s in SLOTS[protocol]]
 
 
 @dataclass(frozen=True)
@@ -79,21 +125,11 @@ def measurement_set(sc: Scenario, protocol: ProtocolId, i: int) -> Channel:
     """The i-th measurement of a protocol, as a complete projective channel."""
     if not 0 <= i < sc.n:
         raise IndexError(f"measurement index {i} out of range for n={sc.n}")
-    if protocol is ProtocolId.FULL:
-        return Channel(
-            kraus_list=(
-                projector_onto(sc.a(i)),
-                projector_onto(sc.b(i)),
-                projector_onto(sc.a(i + 1)),
-            )
-        )
-    if protocol is ProtocolId.A_ONLY:
-        return Channel(
-            kraus_list=(projector_onto(sc.a(i)), projector_complement(sc.a(i)))
-        )
-    return Channel(
-        kraus_list=(projector_onto(sc.b(i)), projector_complement(sc.b(i)))
-    )
+    vs = slot_vectors(sc, protocol, i)
+    kraus = [projector_onto(v) for v in vs]
+    if len(vs) == 1:
+        kraus.append(projector_complement(vs[0]))
+    return Channel(kraus_list=tuple(kraus))
 
 
 def functional_operator(sc: Scenario, ineq: InequalityId) -> FunctionalOperator:
@@ -109,20 +145,12 @@ def functional_operator(sc: Scenario, ineq: InequalityId) -> FunctionalOperator:
 
 def outcome_labels(n: int, protocol: ProtocolId, i: int) -> tuple[str, ...]:
     """Human-readable outcome names matching measurement_set slot order."""
-    if protocol is ProtocolId.FULL:
-        return (f"a{i}", f"b{i}", f"a{(i + 1) % n}")
-    if protocol is ProtocolId.A_ONLY:
-        return (f"a{i}", f"!a{i}")
-    return (f"b{i}", f"!b{i}")
+    context = (f"a{i}", f"b{i}", f"a{(i + 1) % n}")
+    labels = tuple(context[s] for s in SLOTS[protocol])
+    return labels + (f"!{labels[0]}",) if len(labels) == 1 else labels
 
 
 def estimator_weights(protocol: ProtocolId, ineq: InequalityId) -> np.ndarray:
-    """Weights over one measurement's outcome slots, in measurement_set order.
-
-    Contracted with each measurement's outcome distribution and summed over the
-    n measurements, they give the inequality value."""
-    if protocol is not ProtocolId.FULL:
-        return np.array([1.0, 0.0])
-    if ineq is InequalityId.ALPHA:
-        return np.array([0.5, 0.0, 0.5])
-    return np.array([0.0, 1.0, 0.0])
+    """The ``WEIGHTS`` entry of a valid pairing, as an array."""
+    check_pairing(protocol, ineq)
+    return np.array(WEIGHTS[protocol, ineq])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,34 @@ def test_sequence_beta_decay():
     assert rows[0]["bound"] == 1
     assert abs(rows[-1]["asymptote"] - 3.0) < 1e-12
     assert abs(rows[-1]["value"] - 3.0) < abs(rows[0]["value"] - 3.0)
+
+
+#: ``sequence --n 9 --protocol b --ineq beta --k 12``, byte for byte.
+GOLDEN_N9_B = Path(__file__).parent / "golden" / "sequence_n9_b_beta_k12.csv"
+
+
+def test_sequence_ineq_defaults_to_the_protocols_own():
+    code, out = run_cli("sequence", "--n", "9", "--protocol", "b", "--k", "12")
+    assert code == 0
+    assert out == GOLDEN_N9_B.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("protocol, ineq", [("full", "alpha"), ("a", "alpha"), ("b", "beta")])
+def test_simulate_echoes_the_default_ineq(protocol, ineq):
+    code, out = run_cli("simulate", "--protocol", protocol, "--runs", "100")
+    assert code == 0
+    assert json.loads(out)["config"]["ineq"] == ineq
+
+
+def test_config_protocol_alone_picks_its_ineq(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "b"}))
+    code, out = run_cli("simulate", "--config", str(cfg), "--runs", "100")
+    assert code == 0
+    assert json.loads(out)["config"]["ineq"] == "beta"
+    code, out = run_cli("sequence", "--config", str(cfg), "--n", "9", "--k", "12")
+    assert code == 0
+    assert out == GOLDEN_N9_B.read_text(encoding="utf-8")
 
 
 def test_sequence_full_alpha_dies_after_first():
@@ -257,6 +286,8 @@ def test_config_value_of_wrong_type_exit2(tmp_path, capsys, command, config):
         ("simulate", {"ordering": "zig"}),
         ("bounds", {"format": "xml"}),
         ("sequence", {"ineq": "gamma"}),
+        ("sequence", {"ineq": None}),
+        ("simulate", {"ineq": None}),
     ],
 )
 def test_config_value_outside_flag_choices_exit2(tmp_path, capsys, command, config):

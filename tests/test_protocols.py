@@ -6,12 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncycle import (
+    GameConfig,
     InequalityId,
+    PairingError,
     ProtocolId,
     build_scenario,
     evaluate,
     functional_operator,
     measurement_set,
+)
+from ncycle.montecarlo import _Sampler
+from ncycle.protocols import (
+    SLOTS,
+    check_pairing,
+    estimator_weights,
+    inequalities,
+    outcome_labels,
 )
 
 from conftest import random_mixed_matrix
@@ -140,3 +150,58 @@ def test_evaluate_beta_direction():
     # the tolerance shields exact boundary values
     assert not evaluate(1.0 - 5e-10, InequalityId.BETA, 5).violates
     assert evaluate(1.0 - 5e-9, InequalityId.BETA, 5).violates
+
+
+def test_each_dichotomic_protocol_evaluates_its_own_inequality():
+    assert inequalities(ProtocolId.FULL) == (InequalityId.ALPHA, InequalityId.BETA)
+    assert inequalities(ProtocolId.A_ONLY) == (InequalityId.ALPHA,)
+    assert inequalities(ProtocolId.B_ONLY) == (InequalityId.BETA,)
+
+
+@pytest.mark.parametrize("n", [5, 9, 21])
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_tables_agree_with_every_reader(n, protocol):
+    sc = build_scenario(n)
+    slots = SLOTS[protocol]
+    u = sc.outcome_vectors()[:, list(slots)]
+    for i in range(n):
+        expected = [np.outer(v, v) for v in u[i]]
+        if len(slots) == 1:
+            expected.append(np.eye(3) - expected[0])
+        kraus = measurement_set(sc, protocol, i).kraus_list
+        assert len(kraus) == len(expected)
+        for pr, want in zip(kraus, expected):
+            assert np.abs(pr.p - want).max() < 1e-15
+        n_outcomes = len(outcome_labels(n, protocol, i))
+        assert n_outcomes == len(kraus)
+        for ineq in inequalities(protocol):
+            assert len(estimator_weights(protocol, ineq)) == n_outcomes
+    for ineq in set(InequalityId) - set(inequalities(protocol)):
+        with pytest.raises(PairingError):
+            check_pairing(protocol, ineq)
+        with pytest.raises(PairingError):
+            estimator_weights(protocol, ineq)
+    sampler = _Sampler(GameConfig(n=n, protocol=protocol, ineq=inequalities(protocol)[0],
+                                  players=1, runs=1, seed=0))
+    assert np.array_equal(sampler.vectors, u[:, 0] if len(slots) == 1 else u)
+    assert sampler.n_outcomes == len(outcome_labels(n, protocol, 0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.sampled_from(ODD_NS),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_estimator_weights_sum_to_the_inequality_value(n, seed):
+    # weights contracted with each measurement's outcome distribution and
+    # summed over the n measurements give the functional's value
+    sc = build_scenario(n)
+    rho = random_mixed_matrix(seed)
+    for protocol in ProtocolId:
+        for ineq in inequalities(protocol):
+            w = estimator_weights(protocol, ineq)
+            total = 0.0
+            for i in range(n):
+                kraus = measurement_set(sc, protocol, i).kraus_list
+                total += w @ [float(np.sum(pr.p * rho)) for pr in kraus]
+            assert total == pytest.approx(functional_operator(sc, ineq).value(rho), abs=1e-12)

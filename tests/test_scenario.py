@@ -66,11 +66,15 @@ def test_gram_depends_only_on_index_difference(n):
 
 
 def test_b_sign_convention_is_deterministic():
-    # the cross product of adjacent cone vectors always points upward, so the
-    # convention resolves to a positive third component
-    for n in ODD_NS:
+    # the cross product of adjacent cone vectors always points upward: its
+    # third component is K^2 sin(pi/n), which n * b_z keeps near pi/2, so the
+    # build needs no sign fix even at large n
+    for n in [*ODD_NS, 101, 1001, 4001, 10001]:
         sc = build_scenario(n)
+        k2 = 1.0 / (1.0 + math.cos(math.pi / n))
         assert (sc.b_vectors[:, 2] > 0).all()
+        assert n * sc.b_vectors[:, 2].min() > 1.57
+        assert np.abs(sc.b_vectors[:, 2] - k2 * math.sin(math.pi / n)).max() < 1e-10
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 1, -5, 0])
