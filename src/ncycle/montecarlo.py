@@ -18,6 +18,12 @@ is ``(word1 >> 11) * 2^-53``.  A lane whose bounded draw Lemire rejects (odds
 about n * 2^-32) is redrawn from a fresh
 ``Generator(Philox(key=[seed, stream_id]))``, so every draw equals the one the
 documented derivation makes.
+
+The Lüders update reads each choice's rank-1 projectors from a read-only
+stack that a sampler builds once, elementwise the same products
+``np.outer(v, v)`` gives, so every post-measurement state is bit-identical to
+one built from fresh outer products.  A state after a rank-1 outcome is that
+cached projector itself, not a copy.
 """
 
 from __future__ import annotations
@@ -53,6 +59,14 @@ STATISTICAL_FLOOR = 100
 #: Most players in one run: positions fill the low 16 bits of a stream id.
 MAX_PLAYERS = (1 << 16) - 1
 
+#: Most (position, choice) entries, ``players * n``, in one tally.  The tally
+#: and its JSON hold one entry each: 77 to 94 B of JSON and 1.1 to 1.4 KB of
+#: peak RSS per entry, measured with ``simulate --format json`` at n=101 and
+#: n=5 (numpy 2.4, CPython 3.11).  The cap is the least that admits every
+#: player count at the smallest n, 5: 327,675 entries, about 31 MB of JSON and
+#: 0.5 GB of RSS.  Without it, 65535 players at n=1001 would ask for ~80 GB.
+MAX_TALLY_ENTRIES = 5 * MAX_PLAYERS
+
 
 class Ordering(Enum):
     FIXED = "fixed"
@@ -75,6 +89,11 @@ class GameConfig:
             raise InvariantBreachError(f"n must be odd and >= 5, got {self.n}")
         if not 1 <= self.players <= MAX_PLAYERS:
             raise InvariantBreachError(f"players must be in [1, {MAX_PLAYERS}], got {self.players}")
+        if self.players * self.n > MAX_TALLY_ENTRIES:
+            raise InvariantBreachError(
+                f"players * n must be at most {MAX_TALLY_ENTRIES}, got "
+                f"{self.players} * {self.n} = {self.players * self.n}"
+            )
         if not 1 <= self.runs < 1 << 48:
             raise InvariantBreachError(f"runs must be in [1, 2^48), got {self.runs}")
         if not 0 <= self.seed < 1 << 64:
@@ -151,6 +170,8 @@ class _Sampler:
     Lemire rejects is redrawn from a fresh generator on the lane's key.  The
     measurement vectors, outcome count and update kernel follow the protocol's
     ``SLOTS``: one slot is a dichotomic measurement against its complement.
+    ``projectors[c]`` holds the rank-1 projectors of ``vectors[c]``, built once
+    here and read-only, because the kernels return them as states.
     """
 
     def __init__(self, cfg: GameConfig):
@@ -161,12 +182,15 @@ class _Sampler:
             self.vectors, self.n_outcomes, self.measure = u[:, 0], 2, _measure_dichotomic
         else:
             self.vectors, self.n_outcomes, self.measure = u, len(slots), _measure_full
+        # (n, 3, 3) or (n, 3, 3, 3): each element is the product np.outer makes
+        self.projectors = self.vectors[..., :, None] * self.vectors[..., None, :]
+        self.projectors.setflags(write=False)
 
     def play(self, start: int, stop: int):
         """Yield, for each run in [start, stop), its (position, choice, outcome_slot) steps."""
         cfg = self.cfg
         players = cfg.players
-        measure = self.measure
+        measure, vectors, projectors = self.measure, self.vectors, self.projectors
         total = (stop - start) * players
         for lo in range(0, total, _LANES):
             lanes = np.arange(lo, min(lo + _LANES, total), dtype=np.uint64)
@@ -182,7 +206,7 @@ class _Sampler:
             for pos, c, x in zip(positions.tolist(), choices, us):
                 if pos == 1:
                     state, steps = cfg.initial_state.m, []
-                slot, state = measure(state, self.vectors[c], x)
+                slot, state = measure(state, vectors[c], projectors[c], x)
                 steps.append((pos, c, slot))
                 if pos == players:
                     yield steps
@@ -195,7 +219,8 @@ class _Sampler:
         return counts
 
 
-def _measure_full(state: np.ndarray, vs: np.ndarray, u: float):
+def _measure_full(state: np.ndarray, vs: np.ndarray, ps: np.ndarray, u: float):
+    """Complete measurement on the rows of ``vs``; ``ps[o]`` is row o's projector."""
     probs = np.einsum("oi,ij,oj->o", vs, state, vs)
     cum = 0.0
     slot = len(probs) - 1
@@ -204,22 +229,23 @@ def _measure_full(state: np.ndarray, vs: np.ndarray, u: float):
         if u < cum:
             slot = o
             break
-    v = vs[slot]
-    return slot, np.outer(v, v)
+    return slot, ps[slot]
 
 
-def _measure_dichotomic(state: np.ndarray, v: np.ndarray, u: float):
+def _measure_dichotomic(state: np.ndarray, v: np.ndarray, pv: np.ndarray, u: float):
+    """Measure v against its complement; ``pv`` is v's projector, ``np.outer(v, v)``."""
     w = state @ v
     p0 = float(v @ w)
     if u < p0:
-        return 0, np.outer(v, v)
+        return 0, pv
     q = 1.0 - p0
     if q <= 1e-12:
         raise ZeroProbabilityBranchError(
             f"zero-probability branch sampled: complement weight {q!r}"
         )
-    out = (state - np.outer(w, v) - np.outer(v, w) + p0 * np.outer(v, v)) / q
-    return 1, out
+    # wv.T holds np.outer(v, w): the same products, as multiplication commutes
+    wv = w[:, None] * v
+    return 1, (state - wv - wv.T + p0 * pv) / q
 
 
 @dataclass(frozen=True, eq=False)

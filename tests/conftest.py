@@ -34,6 +34,13 @@ def oracle_handle_overlap_sq(n: int) -> float:
     return math.cos(math.pi / n) / (1.0 + math.cos(math.pi / n))
 
 
+def outer_projectors(vs: np.ndarray) -> np.ndarray:
+    """``np.outer(v, v)`` of one vector, or a stack of it for each row of ``vs``."""
+    if vs.ndim == 1:
+        return np.outer(vs, vs)
+    return np.stack([np.outer(v, v) for v in vs])
+
+
 def random_mixed_matrix(seed: int) -> np.ndarray:
     """Random full-rank state via a normalized Wishart matrix."""
     g = np.random.default_rng(seed).normal(size=(3, 3))

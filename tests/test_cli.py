@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncycle import cli
@@ -231,6 +232,18 @@ def test_simulate_runs_floor_exit2(capsys):
 
 def test_simulate_invalid_n_exit2(capsys):
     assert main(["simulate", "--n", "4", "--runs", "200"]) == 2
+
+
+def test_simulate_tally_over_the_cap_exit2(monkeypatch, capsys):
+    # rejected before the tally is allocated: were the check missing, the
+    # patched np.zeros would fail the call instead of exhausting memory
+    def no_tally(*args, **kwargs):
+        raise AssertionError("tally allocated for a config over the cap")
+
+    monkeypatch.setenv("NCYCLE_THREADS", "1")
+    monkeypatch.setattr(np, "zeros", no_tally)
+    assert main(["simulate", "--players", "65535", "--n", "1001", "--runs", "100"]) == 2
+    assert "players * n must be at most 327675" in capsys.readouterr().err
 
 
 def test_simulate_csv_format():

@@ -23,6 +23,8 @@ from ncycle import montecarlo
 from ncycle.montecarlo import _first_draws, _Sampler, analytic_reference, zscores_against
 from ncycle.quantum import handle_state
 
+from conftest import outer_projectors
+
 
 def fresh_generator(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
@@ -83,6 +85,14 @@ def test_config_validation():
         cfg_b5(seed=-1)
     with pytest.raises(PairingError):
         cfg_b5(protocol=ProtocolId.A_ONLY)
+
+
+def test_tally_cap_admits_every_player_count_at_the_smallest_n():
+    assert cfg_b5(players=montecarlo.MAX_PLAYERS).players == montecarlo.MAX_PLAYERS
+    assert cfg_b5(n=1001, players=327).players == 327
+    for n, players in [(7, montecarlo.MAX_PLAYERS), (1001, 328)]:
+        with pytest.raises(InvariantBreachError, match=r"players \* n must be at most 327675"):
+            cfg_b5(n=n, players=players)
 
 
 def test_statistical_floor():
@@ -318,7 +328,8 @@ def scalar_tally(cfg, start, stop):
         for pos in range(1, cfg.players + 1):
             g = fresh_generator(cfg.seed, (run << 16) | pos)
             choice = int(g.integers(cfg.n))
-            slot, state = measure(state, sampler.vectors[choice], float(g.random()))
+            vs = sampler.vectors[choice]
+            slot, state = measure(state, vs, outer_projectors(vs), float(g.random()))
             counts[pos - 1, choice, slot] += 1
     return counts
 
@@ -347,13 +358,44 @@ def test_runs_split_across_lane_blocks(monkeypatch):
         assert np.array_equal(_Sampler(cfg).tally(3, cfg.runs), counts)
 
 
-def test_estimate_json_identical_at_1_2_and_8_workers():
+@pytest.mark.parametrize(
+    "n,protocol,ineq",
+    [(9, ProtocolId.FULL, InequalityId.ALPHA), (5, ProtocolId.B_ONLY, InequalityId.BETA),
+     (7, ProtocolId.A_ONLY, InequalityId.ALPHA)],
+    ids=["full-alpha", "b-beta", "a-alpha"],
+)
+def test_estimate_json_identical_at_1_2_and_8_workers(n, protocol, ineq):
     # three players do not divide the lane block, so blocks end mid-run, and
-    # 1001 runs give chunks of unequal size
-    cfg = GameConfig(n=9, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA, players=3,
+    # 1001 runs give chunks of unequal size; the dichotomic protocols take the
+    # complement branch, whose state is computed rather than cached
+    cfg = GameConfig(n=n, protocol=protocol, ineq=ineq, players=3,
                      runs=1001, seed=5, ordering=Ordering.RANDOM_PERMUTATION)
     texts = {
         json.dumps(estimate_sequence(cfg, workers=w).to_json_dict(), indent=2)
         for w in (1, 2, 8)
     }
     assert len(texts) == 1
+
+
+def test_projector_stack_is_read_only_and_survives_a_tally():
+    # a state after a rank-1 outcome is the cached projector itself, so a
+    # write into that state must raise instead of corrupting later runs
+    for cfg in game_configs():
+        sampler = _Sampler(cfg)
+        stack = sampler.projectors
+        assert not stack.flags.writeable
+        assert np.array_equal(stack, np.stack([outer_projectors(vs) for vs in sampler.vectors]))
+        before = stack.copy()
+        sampler.tally(0, cfg.runs)
+        assert np.array_equal(stack, before)
+    sampler = _Sampler(cfg_b5())
+    v, pv = sampler.vectors[0], sampler.projectors[0]
+    slot, state = montecarlo._measure_dichotomic(handle_state().m, v, pv, 0.0)
+    assert slot == 0 and state is pv
+    with pytest.raises(ValueError):
+        state[0, 0] = 0.0
+    sampler = _Sampler(game_configs()[1])
+    vs, ps = sampler.vectors[0], sampler.projectors[0]
+    slot, state = montecarlo._measure_full(handle_state().m, vs, ps, 0.0)
+    with pytest.raises(ValueError):
+        state[0, 0] = 0.0

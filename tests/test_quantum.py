@@ -23,14 +23,14 @@ from ncycle.montecarlo import _measure_dichotomic, _measure_full
 from ncycle.protocols import InequalityId, ProtocolId, measurement_set
 from ncycle.quantum import projector_complement, projector_onto
 
-from conftest import oracle_handle_overlap_sq, random_mixed_matrix
+from conftest import oracle_handle_overlap_sq, outer_projectors, random_mixed_matrix
 
 
 def complement_branch(m, v):
     """The sampler's Lüders update on the outcome orthogonal to v: a uniform
     equal to the weight p0 of v falls outside [0, p0)."""
     p0 = float(v @ (m @ v))
-    return _measure_dichotomic(m, v, p0)
+    return _measure_dichotomic(m, v, np.outer(v, v), p0)
 
 
 def apply(lam, state):
@@ -86,10 +86,11 @@ def test_channel_completeness_enforced(sc5):
 
 def test_luders_rank1_projects(sc5, handle):
     a0 = sc5.a(0)
-    slot, out = _measure_dichotomic(handle.m, a0, 0.0)
+    slot, out = _measure_dichotomic(handle.m, a0, np.outer(a0, a0), 0.0)
     assert slot == 0
     assert np.abs(out - np.outer(a0, a0)).max() < 1e-14
-    slot, out = _measure_full(handle.m, sc5.outcome_vectors()[0], 0.0)
+    vs = sc5.outcome_vectors()[0]
+    slot, out = _measure_full(handle.m, vs, outer_projectors(vs), 0.0)
     assert slot == 0
     assert np.abs(out - np.outer(a0, a0)).max() < 1e-14
 
@@ -211,7 +212,7 @@ def test_luders_output_is_valid_state(seed, vec_seed, rank):
     if p <= 1e-12:
         return
     if rank == 1:
-        slot, out = _measure_dichotomic(state.m, v, 0.0)
+        slot, out = _measure_dichotomic(state.m, v, np.outer(v, v), 0.0)
     else:
         slot, out = complement_branch(state.m, v)
     assert slot == rank - 1
@@ -220,6 +221,35 @@ def test_luders_output_is_valid_state(seed, vec_seed, rank):
     out = DensityMatrix(out).m  # __post_init__ re-validates
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out).min() > -1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    vec_seed=st.integers(min_value=0, max_value=2**31),
+    u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_luders_kernels_are_bit_exact(seed, vec_seed, u):
+    # the sampler's kernels take cached projectors; their states must equal
+    # the outer-product formulas bit for bit, so any reordering of the
+    # arithmetic fails here
+    state = random_mixed_matrix(seed)
+    basis, _ = np.linalg.qr(np.random.default_rng(vec_seed).normal(size=(3, 3)))
+    vs = basis.T  # orthonormal, one vector per row
+    v = vs[0]
+    w = state @ v
+    p0 = float(v @ w)
+    for x in (u, 0.0, p0):
+        slot, out = _measure_dichotomic(state, v, np.outer(v, v), x)
+        assert slot == int(x >= p0)
+        if slot == 0:
+            expected = np.outer(v, v)
+        else:
+            q = 1.0 - p0
+            expected = (state - np.outer(w, v) - np.outer(v, w) + p0 * np.outer(v, v)) / q
+        assert np.array_equal(out, expected)
+    slot, out = _measure_full(state, vs, outer_projectors(vs), u)
+    assert np.array_equal(out, np.outer(vs[slot], vs[slot]))
 
 
 def test_random_pure_state_is_pure():
