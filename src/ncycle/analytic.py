@@ -63,7 +63,7 @@ class MarkovMatrix:
     def __post_init__(self) -> None:
         t = self.t
         if not 1.0 / 3.0 < t < 0.5:
-            raise InvariantBreachError(f"t={t!r} outside (1/3, 1/2)")
+            raise InvariantBreachError(f"t={float(t)!r} outside (1/3, 1/2)")
         m = np.array(
             [
                 [t, 1 - 2 * t, t],
@@ -161,7 +161,7 @@ def context_probabilities(sc: Scenario, state: DensityMatrix, i: int) -> np.ndar
         [born_probability(state, projector_onto(v)) for v in slot_vectors(sc, ProtocolId.FULL, i)]
     )
     if abs(p.sum() - 1.0) > 1e-12:
-        raise InvariantBreachError(f"context {i} probabilities sum to {p.sum()!r}")
+        raise InvariantBreachError(f"context {i} probabilities sum to {float(p.sum())!r}")
     return p
 
 
@@ -169,7 +169,7 @@ def aggregate_probability_vector(sc: Scenario, state: DensityMatrix) -> np.ndarr
     """Sum of the per-context distributions; its entries total n."""
     q = sum(context_probabilities(sc, state, i) for i in range(sc.n))
     if abs(q.sum() - sc.n) > 1e-10:
-        raise InvariantBreachError(f"aggregate probability vector sums to {q.sum()!r}")
+        raise InvariantBreachError(f"aggregate probability vector sums to {float(q.sum())!r}")
     return q
 
 
@@ -230,7 +230,7 @@ def extract_recurrence(
             "extracted recurrence coefficients disagree with their closed forms"
         )
     if not 0.0 < slope < 1.0:
-        raise InvariantBreachError(f"recurrence slope {slope!r} is not in (0, 1)")
+        raise InvariantBreachError(f"recurrence slope {float(slope)!r} is not in (0, 1)")
     return RecurrenceCoeffs(slope=slope, offset=offset, lambda0=lam0, lambda1=lam1)
 
 

@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 from . import analytic, montecarlo
@@ -156,23 +157,41 @@ def _fmt(value: Any, precision: int) -> str:
     return str(value)
 
 
-def _emit_csv(header: list[str], rows: list[list[Any]], precision: int) -> str:
+#: Characters per write of a JSON document: a write is a system call on an
+#: unbuffered stdout, and the encoder's pieces are often a single token.
+_JSON_CHUNK = 1 << 16
+
+
+def _emit_csv(header: list[str], rows: list[list[Any]], precision: int) -> list[str]:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v, precision) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _emit_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _emit_json(obj: Any) -> Iterator[str]:
+    """``json.dumps(obj, indent=2) + "\n"`` in pieces of about ``_JSON_CHUNK``
+    characters, so the whole text is never held at once."""
+    buf: list[str] = []
+    size = 0
+    for piece in json.JSONEncoder(indent=2).iterencode(obj):
+        buf.append(piece)
+        size += len(piece)
+        if size >= _JSON_CHUNK:
+            yield "".join(buf)
+            buf, size = [], 0
+    buf.append("\n")
+    yield "".join(buf)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(pieces: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
     else:
         try:
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                for piece in pieces:
+                    fh.write(piece)
         except OSError as exc:
             raise UsageError(f"cannot write {out!r}: {exc}") from exc
 
@@ -192,7 +211,7 @@ def _workers() -> int:
         raise UsageError(f"NCYCLE_THREADS must be an integer, got {raw!r}") from exc
 
 
-def cmd_table1(opts: dict[str, Any]) -> str:
+def cmd_table1(opts: dict[str, Any]) -> Iterable[str]:
     n_min, n_max = opts["n_min"], opts["n_max"]
     if n_min > n_max:
         raise UsageError(f"empty range: n_min {n_min} > n_max {n_max}")
@@ -216,7 +235,7 @@ def cmd_table1(opts: dict[str, Any]) -> str:
     return _emit_csv(header, [[r.n, *r.as_tuple()] for r in rows], opts["precision"])
 
 
-def cmd_sequence(opts: dict[str, Any]) -> str:
+def cmd_sequence(opts: dict[str, Any]) -> Iterable[str]:
     protocol = ProtocolId(opts["protocol"])
     ineq = InequalityId(opts["ineq"])
     if not 1 <= opts["k"] <= montecarlo.MAX_PLAYERS:
@@ -237,7 +256,7 @@ def cmd_sequence(opts: dict[str, Any]) -> str:
     return _emit_csv(["k", "value", "violates", "bound", "asymptote"], rows, opts["precision"])
 
 
-def cmd_simulate(opts: dict[str, Any]) -> str:
+def cmd_simulate(opts: dict[str, Any]) -> Iterable[str]:
     try:
         cfg = montecarlo.GameConfig(
             n=opts["n"],
@@ -253,21 +272,20 @@ def cmd_simulate(opts: dict[str, Any]) -> str:
     workers = _workers()
     if opts["compare"]:
         report = montecarlo.compare_to_analytic(cfg, workers=workers)
-        payload = report.to_json_dict()
-        positions = payload["positions"]
+        est = report.estimate
         header = ["k", "estimate", "stderr", "analytic", "z"]
+        columns = [est.estimates, est.stderrs, report.analytic, report.zscores]
     else:
-        est = montecarlo.estimate_sequence(cfg, workers=workers)
-        payload = est.to_json_dict()
-        positions = payload["positions"]
+        report = est = montecarlo.estimate_sequence(cfg, workers=workers)
         header = ["k", "estimate", "stderr"]
+        columns = [est.estimates, est.stderrs]
     if opts["format"] == "json":
-        return _emit_json(payload)
-    rows = [[row[key] for key in header] for row in positions]
+        return _emit_json(report.to_json_dict())
+    rows = [[k + 1, *values] for k, values in enumerate(zip(*columns))]
     return _emit_csv(header, rows, opts["precision"])
 
 
-def cmd_bounds(opts: dict[str, Any]) -> str:
+def cmd_bounds(opts: dict[str, Any]) -> Iterable[str]:
     n = opts["n"]
     cb = enumerate_classical_bounds(n)
     if n >= 5:
@@ -293,7 +311,7 @@ def cmd_bounds(opts: dict[str, Any]) -> str:
     return _emit_csv(header, [[payload[k] for k in header]], opts["precision"])
 
 
-def cmd_asymptote(opts: dict[str, Any]) -> str:
+def cmd_asymptote(opts: dict[str, Any]) -> Iterable[str]:
     n = opts["n"]
     sc = build_scenario(n)
     mm = analytic.markov_matrix(n)

@@ -23,11 +23,19 @@ The Lüders update reads each choice's rank-1 projectors from a read-only
 stack that a sampler builds once, elementwise the same products
 ``np.outer(v, v)`` gives, so every post-measurement state is bit-identical to
 one built from fresh outer products.  A state after a rank-1 outcome is that
-cached projector itself, not a copy.
+cached projector itself, not a copy.  Under the complete measurement every
+state after the first is such a projector, so a run's state is an index and
+its next Born probabilities are an entry of a ``_BornTable``: one position is
+then a gather and two comparisons across a block of runs.
+
+``workers`` is a maximum: a call starts a process pool only when each worker
+gets at least ``POOL_MIN_STEPS`` player steps of its kernel, and below that
+it tallies in this process.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,11 +68,13 @@ STATISTICAL_FLOOR = 100
 MAX_PLAYERS = (1 << 16) - 1
 
 #: Most (position, choice) entries, ``players * n``, in one tally.  The tally
-#: and its JSON hold one entry each: 77 to 94 B of JSON and 1.1 to 1.4 KB of
-#: peak RSS per entry, measured with ``simulate --format json`` at n=101 and
-#: n=5 (numpy 2.4, CPython 3.11).  The cap is the least that admits every
-#: player count at the smallest n, 5: 327,675 entries, about 31 MB of JSON and
-#: 0.5 GB of RSS.  Without it, 65535 players at n=1001 would ask for ~80 GB.
+#: and its JSON hold one entry each: 77 to 94 B of JSON and 0.31 to 0.39 KB of
+#: peak RSS per entry above a small call's, measured with ``simulate --format
+#: json --runs 100`` at one worker at n=101 and n=5 (numpy 2.4, CPython 3.11;
+#: the JSON is written as it is encoded, so the RSS is mostly the dict tree of
+#: ``to_json_dict``).  The cap is the least that admits every player count at
+#: the smallest n, 5: 327,675 entries, about 31 MB of JSON and 130 MB of RSS.
+#: Without it, 65535 players at n=1001 would ask for ~80 GB.
 MAX_TALLY_ENTRIES = 5 * MAX_PLAYERS
 
 
@@ -162,74 +172,152 @@ def _first_draws(
     return m >> _S32, u, reject
 
 
+def _draws(seed: int, stream_ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's first ``integers(n)`` and ``random()`` draw, as int64 choices
+    and float uniforms; a lane Lemire rejects is redrawn from a fresh generator
+    on its key."""
+    choice, u, reject = _first_draws(seed, stream_ids, n)
+    choice = choice.astype(np.int64)
+    for j in np.flatnonzero(reject).tolist():
+        key = np.array([seed, stream_ids[j]], dtype=np.uint64)
+        g = np.random.Generator(np.random.Philox(key=key))
+        choice[j], u[j] = g.integers(n), g.random()
+    return choice, u
+
+
+class _BornTable:
+    """Cumulative Born probabilities of the full protocol, per (state, choice).
+
+    After a complete measurement the state is one of the cached projectors, so
+    state 0 is the initial state and state ``1 + 3c + o`` is
+    ``projectors[c][o]``.  Key ``state * n + choice`` holds the first two
+    cumulative probabilities ``(cum0, cum1)`` of that choice's outcomes, each
+    summed in Python floats from ``np.einsum("oi,ij,oj->o", ...)`` with
+    negatives clamped to 0, so a uniform ``u`` lands in slot
+    ``(u >= cum0) + (u >= cum1)``, the slot the scalar kernel picks.
+
+    ``eager`` fills a dense ``((3n + 1) n, 2)`` table up front.  Otherwise an
+    entry is computed on its first use and memoised, so large n holds only the
+    entries its runs meet, never the 9n^2 floats of the whole table.
+    """
+
+    def __init__(self, initial: np.ndarray, vectors: np.ndarray, projectors: np.ndarray,
+                 eager: bool):
+        self.states = [initial, *(p for ps in projectors for p in ps)]
+        self.vectors = vectors
+        self.memo: dict[int, tuple[float, float]] = {}
+        self.dense = None
+        if eager:
+            self.dense = np.array([self._entry(k) for k in range(len(self.states) * len(vectors))])
+
+    def _entry(self, key: int) -> tuple[float, float]:
+        state, choice = divmod(key, len(self.vectors))
+        vs = self.vectors[choice]
+        probs = np.einsum("oi,ij,oj->o", vs, self.states[state], vs)
+        cum0 = 0.0 + max(float(probs[0]), 0.0)
+        return cum0, cum0 + max(float(probs[1]), 0.0)
+
+    def __getitem__(self, keys: np.ndarray) -> np.ndarray:
+        """The ``(len(keys), 2)`` entries of an int64 key array."""
+        if self.dense is not None:
+            return self.dense[keys]
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        memo, rows = self.memo, []
+        for key in uniq.tolist():
+            if key not in memo:
+                memo[key] = self._entry(key)
+            rows.append(memo[key])
+        return np.array(rows)[inverse]
+
+
 class _Sampler:
     """Per-process sampling engine.
 
-    ``play`` takes every (run, position) lane's choice and uniform from
-    ``_first_draws``, a block of ``_LANES`` lanes at a time; the rare lane
-    Lemire rejects is redrawn from a fresh generator on the lane's key.  The
-    measurement vectors, outcome count and update kernel follow the protocol's
-    ``SLOTS``: one slot is a dichotomic measurement against its complement.
+    Every (run, position) lane's choice and uniform come from ``_draws``, at
+    most ``_LANES`` lanes at a time.  The measurement vectors and outcome count
+    follow the protocol's ``SLOTS``: one slot is a dichotomic measurement
+    against its complement, three are a complete measurement.
     ``projectors[c]`` holds the rank-1 projectors of ``vectors[c]``, built once
-    here and read-only, because the kernels return them as states.
+    here and read-only, because states are those very arrays.
+
+    The complete measurement keeps each run's state as an index into a
+    ``_BornTable``, so a position is one gather and two comparisons across a
+    block of runs; the table is dense when it has no more entries than the
+    call has player steps.  A dichotomic state after the complement outcome
+    depends on the history, so ``play`` runs ``_measure_dichotomic`` lane by
+    lane.
     """
 
     def __init__(self, cfg: GameConfig):
         self.cfg = cfg
         slots = SLOTS[cfg.protocol]
         u = build_scenario(cfg.n).outcome_vectors()[:, list(slots)]
-        if len(slots) == 1:  # the slot's projector and its complement
-            self.vectors, self.n_outcomes, self.measure = u[:, 0], 2, _measure_dichotomic
+        dichotomic = _kernel(cfg.protocol) == "dichotomic"
+        if dichotomic:  # the slot's projector and its complement
+            self.vectors, self.n_outcomes = u[:, 0], 2
         else:
-            self.vectors, self.n_outcomes, self.measure = u, len(slots), _measure_full
+            self.vectors, self.n_outcomes = u, len(slots)
         # (n, 3, 3) or (n, 3, 3, 3): each element is the product np.outer makes
         self.projectors = self.vectors[..., :, None] * self.vectors[..., None, :]
         self.projectors.setflags(write=False)
+        self.born = None
+        if not dichotomic:
+            eager = (3 * cfg.n + 1) * cfg.n <= cfg.runs * cfg.players
+            self.born = _BornTable(cfg.initial_state.m, self.vectors, self.projectors, eager)
 
     def play(self, start: int, stop: int):
-        """Yield, for each run in [start, stop), its (position, choice, outcome_slot) steps."""
+        """Yield, for each run in [start, stop), its (position, choice, outcome_slot)
+        steps under a dichotomic protocol."""
         cfg = self.cfg
         players = cfg.players
-        measure, vectors, projectors = self.measure, self.vectors, self.projectors
+        vectors, projectors = self.vectors, self.projectors
         total = (stop - start) * players
         for lo in range(0, total, _LANES):
             lanes = np.arange(lo, min(lo + _LANES, total), dtype=np.uint64)
             runs = lanes // np.uint64(players) + np.uint64(start)
             positions = lanes % np.uint64(players) + np.uint64(1)
-            ids = (runs << np.uint64(16)) | positions
-            choice, u, reject = _first_draws(cfg.seed, ids, cfg.n)
-            choices, us = choice.tolist(), u.tolist()
-            for j in np.flatnonzero(reject).tolist():
-                key = np.array([cfg.seed, ids[j]], dtype=np.uint64)
-                g = np.random.Generator(np.random.Philox(key=key))
-                choices[j], us[j] = int(g.integers(cfg.n)), float(g.random())
-            for pos, c, x in zip(positions.tolist(), choices, us):
+            choices, us = _draws(cfg.seed, (runs << np.uint64(16)) | positions, cfg.n)
+            for pos, c, x in zip(positions.tolist(), choices.tolist(), us.tolist()):
                 if pos == 1:
                     state, steps = cfg.initial_state.m, []
-                slot, state = measure(state, vectors[c], projectors[c], x)
+                slot, state = _measure_dichotomic(state, vectors[c], projectors[c], x)
                 steps.append((pos, c, slot))
                 if pos == players:
                     yield steps
 
     def tally(self, start: int, stop: int) -> np.ndarray:
         counts = np.zeros((self.cfg.players, self.cfg.n, self.n_outcomes), dtype=np.int64)
-        for steps in self.play(start, stop):
-            for pos, choice, slot in steps:
-                counts[pos - 1, choice, slot] += 1
+        if self.born is not None:
+            self._tally_complete(start, stop, counts.reshape(-1))
+        else:
+            for steps in self.play(start, stop):
+                for pos, choice, slot in steps:
+                    counts[pos - 1, choice, slot] += 1
         return counts
 
-
-def _measure_full(state: np.ndarray, vs: np.ndarray, ps: np.ndarray, u: float):
-    """Complete measurement on the rows of ``vs``; ``ps[o]`` is row o's projector."""
-    probs = np.einsum("oi,ij,oj->o", vs, state, vs)
-    cum = 0.0
-    slot = len(probs) - 1
-    for o, p in enumerate(probs):
-        cum += max(float(p), 0.0)
-        if u < cum:
-            slot = o
-            break
-    return slot, ps[slot]
+    def _tally_complete(self, start: int, stop: int, flat: np.ndarray) -> None:
+        """Add the complete measurement's runs [start, stop) into ``flat``, the
+        raveled (players, n, 3) tally: blocks of runs, positions in order."""
+        cfg, born = self.cfg, self.born
+        n, players, cells = cfg.n, cfg.players, 3 * cfg.n
+        for r0 in range(start, stop, _LANES):
+            runs = np.arange(r0, min(r0 + _LANES, stop), dtype=np.uint64) << np.uint64(16)
+            state = np.zeros(len(runs), dtype=np.int64)
+            width = max(1, _LANES // len(runs))  # positions drawn at once
+            for p0 in range(0, players, width):
+                p1 = min(p0 + width, players)
+                positions = np.arange(p0 + 1, p1 + 1, dtype=np.uint64)[:, None]
+                choices, us = _draws(cfg.seed, (runs | positions).ravel(), n)
+                choices, us = choices.reshape(p1 - p0, -1), us.reshape(p1 - p0, -1)
+                cell = np.empty_like(choices)  # (q, choice, slot) of each lane
+                for q, (c, u) in enumerate(zip(choices, us)):
+                    cum = born[state * n + c]
+                    slot = (u >= cum[:, 0]).astype(np.int64) + (u >= cum[:, 1])
+                    state = 1 + 3 * c + slot
+                    cell[q] = state - 1 + q * cells
+                flat[p0 * cells:p1 * cells] += np.bincount(
+                    cell.ravel(), minlength=(p1 - p0) * cells
+                )
 
 
 def _measure_dichotomic(state: np.ndarray, v: np.ndarray, pv: np.ndarray, u: float):
@@ -287,6 +375,23 @@ class SimulationEstimate:
         }
 
 
+def _kernel(protocol: ProtocolId) -> str:
+    """The sampler kernel of a protocol: ``"index"`` for the complete
+    measurement, ``"dichotomic"`` for one slot against its complement."""
+    return "dichotomic" if len(SLOTS[protocol]) == 1 else "index"
+
+
+#: Fewest player steps per pool worker, by kernel: below twice this a call is
+#: tallied in-process, because starting a pool costs more than a second worker
+#: saves.  ``tools/pool_crossover.py`` times ``estimate_sequence`` at one and at
+#: two workers with the pool machinery loaded.  On a 2-vCPU VM (CPython 3.11,
+#: numpy 2.4) two workers began to win at 50k and 39k steps (index) and at
+#: 2.9k and 3.2k steps (dichotomic, n=5; at n=19 they won from the smallest
+#: probed total, 4.8k).  Each minimum is half the median crossing, rounded up
+#: to a thousand: near the crossing a pool takes a second CPU for no gain.
+POOL_MIN_STEPS = {"index": 23_000, "dichotomic": 2_000}
+
+
 def _tally_range(cfg: GameConfig, start: int, stop: int) -> np.ndarray:
     return _Sampler(cfg).tally(start, stop)
 
@@ -306,16 +411,19 @@ def _partition(runs: int, workers: int) -> list[tuple[int, int]]:
 def estimate_sequence(cfg: GameConfig, workers: int = 1) -> SimulationEstimate:
     """Run the game cfg.runs times and estimate the per-position values.
 
-    Runs are partitioned into ``workers`` contiguous chunks whose integer
-    tallies merge by addition, so the result is bit-identical for any worker
-    count.  Standard errors are leave-one-out (jackknife) errors of the mean,
-    computed exactly from the tallies.
+    Runs are partitioned into contiguous chunks: at most ``workers`` of them,
+    and few enough that each holds ``POOL_MIN_STEPS`` player steps of the
+    protocol's kernel.  Their integer tallies merge by addition, so the result
+    is bit-identical for any worker count; a single chunk is tallied in this
+    process, without a pool.  Standard errors are leave-one-out (jackknife)
+    errors of the mean, computed exactly from the tallies.
     """
     if cfg.runs < STATISTICAL_FLOOR:
         raise InsufficientRunsError(
             f"insufficient runs: {cfg.runs} < statistical floor {STATISTICAL_FLOOR}"
         )
-    ranges = _partition(cfg.runs, workers)
+    min_steps = POOL_MIN_STEPS[_kernel(cfg.protocol)]
+    ranges = _partition(cfg.runs, min(workers, cfg.runs * cfg.players // min_steps))
     if len(ranges) == 1:
         counts = _tally_range(cfg, *ranges[0])
     else:
@@ -347,8 +455,14 @@ def _merge_parallel(cfg: GameConfig, ranges: list[tuple[int, int]]) -> np.ndarra
             parts = list(
                 pool.map(_tally_range, [cfg] * len(ranges), *zip(*ranges))
             )
-    except (OSError, BrokenProcessPool):
+    except (OSError, BrokenProcessPool) as exc:
         # sandboxes without process support: same partition, sequential merge
+        warnings.warn(
+            f"process pool failed ({type(exc).__name__}: {exc}); tallying its "
+            f"{len(ranges)} run ranges in this process",
+            RuntimeWarning,
+            stacklevel=3,
+        )
         parts = [_tally_range(cfg, lo, hi) for lo, hi in ranges]
     total = np.zeros_like(parts[0])
     for p in parts:

@@ -137,7 +137,7 @@ def functional_operator(sc: Scenario, ineq: InequalityId) -> FunctionalOperator:
     op = np.einsum("ni,nj->ij", vs, vs)
     if abs(np.trace(op) - sc.n) > 1e-10:
         raise InvariantBreachError(
-            f"functional operator trace {np.trace(op)!r} != n={sc.n}"
+            f"functional operator trace {float(np.trace(op))!r} != n={sc.n}"
         )
     op.setflags(write=False)
     return FunctionalOperator(op=op)

@@ -37,7 +37,7 @@ class DensityMatrix:
         if np.abs(m - m.T).max() > SYM_TOL:
             raise InvariantBreachError("density matrix is not symmetric")
         if abs(np.trace(m) - 1.0) > SYM_TOL:
-            raise InvariantBreachError(f"density matrix trace {np.trace(m)!r} != 1")
+            raise InvariantBreachError(f"density matrix trace {float(np.trace(m))!r} != 1")
         if np.linalg.eigvalsh(m).min() < PSD_TOL:
             raise InvariantBreachError("density matrix has a negative eigenvalue")
         m.setflags(write=False)
@@ -59,7 +59,7 @@ class Projector:
             raise InvariantBreachError("projector is not idempotent")
         if abs(np.trace(p) - self.rank) > SYM_TOL:
             raise InvariantBreachError(
-                f"projector trace {np.trace(p)!r} != rank {self.rank}"
+                f"projector trace {float(np.trace(p))!r} != rank {self.rank}"
             )
         p.setflags(write=False)
         object.__setattr__(self, "p", p)

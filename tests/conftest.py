@@ -41,11 +41,50 @@ def outer_projectors(vs: np.ndarray) -> np.ndarray:
     return np.stack([np.outer(v, v) for v in vs])
 
 
+def cumulative_born(state: np.ndarray, vs: np.ndarray) -> list[float]:
+    """Running sums of the Born probabilities of the rows of ``vs``, each
+    clamped at 0, in the Python floats the scalar complete measurement adds."""
+    sums, cum = [], 0.0
+    for p in np.einsum("oi,ij,oj->o", vs, state, vs):
+        cum += max(float(p), 0.0)
+        sums.append(cum)
+    return sums
+
+
+def measure_full(state: np.ndarray, vs: np.ndarray, ps: np.ndarray, u: float):
+    """The scalar complete measurement on the rows of ``vs`` (``ps[o]`` is row
+    o's projector): the oracle of the sampler's state-index kernel."""
+    sums = cumulative_born(state, vs)
+    slot = next((o for o, cum in enumerate(sums) if u < cum), len(sums) - 1)
+    return slot, ps[slot]
+
+
 def random_mixed_matrix(seed: int) -> np.ndarray:
     """Random full-rank state via a normalized Wishart matrix."""
     g = np.random.default_rng(seed).normal(size=(3, 3))
     w = g @ g.T
     return w / np.trace(w)
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Lower every sampler kernel's per-worker minimum to one player step, so a
+    call with several workers really runs the process pool; the list records
+    the worker count of each pool the calls start."""
+    from ncycle import montecarlo
+
+    monkeypatch.setattr(
+        montecarlo, "POOL_MIN_STEPS", dict.fromkeys(montecarlo.POOL_MIN_STEPS, 1)
+    )
+    sizes: list[int] = []
+    merge = montecarlo._merge_parallel
+
+    def counted(cfg, ranges):
+        sizes.append(len(ranges))
+        return merge(cfg, ranges)
+
+    monkeypatch.setattr(montecarlo, "_merge_parallel", counted)
+    return sizes
 
 
 @pytest.fixture(scope="session")

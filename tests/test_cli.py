@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncycle import cli
+from ncycle import cli, montecarlo
 from ncycle.cli import main
 
 
@@ -255,6 +256,82 @@ def test_simulate_csv_format():
     lines = out.strip().split("\n")
     assert lines[0] == "k,estimate,stderr"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("compare", [False, True])
+def test_simulate_csv_rows_come_from_the_estimate(monkeypatch, compare):
+    args = ["simulate", "--n", "7", "--protocol", "a", "--players", "3", "--runs", "300",
+            "--seed", "2", *(["--compare"] if compare else [])]
+    code, out = run_cli(*args, "--format", "json")
+    assert code == 0
+    positions = json.loads(out)["positions"]
+
+    def no_dict(self):
+        raise AssertionError("the JSON tree is built for csv")
+
+    monkeypatch.setattr(montecarlo.SimulationEstimate, "to_json_dict", no_dict)
+    monkeypatch.setattr(montecarlo.ComparisonReport, "to_json_dict", no_dict)
+    code, out = run_cli(*args, "--format", "csv", "--precision", "17")
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.strip().split("\n")]
+    assert header == list(positions[0])
+    assert [[float(x) for x in row] for row in rows] == [
+        [float(pos[key]) for key in header] for pos in positions
+    ]
+
+
+def test_simulate_json_is_written_in_large_pieces(monkeypatch):
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setenv("NCYCLE_THREADS", "1")
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["simulate", "--n", "101", "--protocol", "b", "--players", "40",
+                 "--runs", "100", "--format", "json"]) == 0
+    text = "".join(writes)
+    assert len(text) > 3 * cli._JSON_CHUNK
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert all(len(piece) >= cli._JSON_CHUNK for piece in writes[:-1])
+    assert len(text) // cli._JSON_CHUNK <= len(writes) <= len(text) // cli._JSON_CHUNK + 1
+
+
+@pytest.mark.parametrize("error", [OSError("no process support"),
+                                   BrokenProcessPool("a worker died")],
+                         ids=["OSError", "BrokenProcessPool"])
+def test_pool_failure_warns_and_keeps_the_bytes(monkeypatch, capsys, pooled, error):
+    import concurrent.futures
+
+    args = ["simulate", "--n", "5", "--protocol", "b", "--players", "2", "--runs", "300"]
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    assert main(args) == 0
+    want = capsys.readouterr().out
+
+    def broken_pool(*a, **kw):
+        raise error
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
+    with pytest.warns(RuntimeWarning, match=f"process pool failed \\({type(error).__name__}: "
+                                            f"{error}\\); tallying its 2 run ranges"):
+        assert main(args) == 0
+    assert capsys.readouterr().out == want
+    assert pooled == [2]
+
+
+def test_invariant_breach_prints_plain_floats(monkeypatch, capsys):
+    # a breach reports its number as a float, never as a numpy repr
+    def drifted_trace(m):
+        return np.float64(1.5)
+
+    monkeypatch.setattr(np, "trace", drifted_trace)
+    assert main(["sequence", "--n", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == "internal invariant breach: density matrix trace 1.5 != 1\n"
+    assert "np." not in err
 
 
 def test_config_file_layering(tmp_path):

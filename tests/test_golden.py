@@ -84,6 +84,7 @@ def test_cli_golden_bytes(monkeypatch, name):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_library_estimate_golden_bytes(workers):
+def test_library_estimate_golden_bytes(pooled, workers):
     want = (GOLDEN / "estimate_n7_a_alpha_random.json").read_text(encoding="utf-8")
     assert library_estimate_json(workers) == want
+    assert pooled == ([workers] if workers > 1 else [])

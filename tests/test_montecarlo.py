@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -21,9 +22,9 @@ from ncycle import (
 )
 from ncycle import montecarlo
 from ncycle.montecarlo import _first_draws, _Sampler, analytic_reference, zscores_against
-from ncycle.quantum import handle_state
+from ncycle.quantum import DensityMatrix, handle_state
 
-from conftest import outer_projectors
+from conftest import cumulative_born, measure_full, outer_projectors, random_mixed_matrix
 
 
 def fresh_generator(seed, stream_id):
@@ -198,9 +199,10 @@ def test_adversarial_shift_is_detected():
     assert not ok
 
 
-def test_partition_invariance():
+def test_partition_invariance(pooled):
     cfg = cfg_b5(runs=2000)
     results = [estimate_sequence(cfg, workers=w) for w in (1, 2, 8)]
+    assert pooled == [2, 8]
     for other in results[1:]:
         assert np.array_equal(results[0].counts, other.counts)
         assert results[0].estimates == other.estimates
@@ -252,7 +254,9 @@ def test_statistical_soundness_two_sigma_coverage():
 
 def test_position1_independent_of_later_choices():
     # no signaling backward in time: the first player's (choice, outcome)
-    # statistics cannot depend on the second player's choice
+    # statistics cannot depend on the second player's choice.  The tally keeps
+    # no joint statistics, so the runs come from the oracle, whose tally must
+    # be the sampler's
     cfg = GameConfig(
         n=5,
         protocol=ProtocolId.FULL,
@@ -261,12 +265,15 @@ def test_position1_independent_of_later_choices():
         runs=100_000,
         seed=3,
     )
-    sampler = _Sampler(cfg)
     table = np.zeros((3, 5), dtype=np.int64)  # outcome_1 (given choice_1=0) x choice_2
-    for steps in sampler.play(0, cfg.runs):
-        (_, c1, o1), (_, c2, _) = steps
+    counts = np.zeros((2, 5, 3), dtype=np.int64)
+    for steps in oracle_runs(cfg, 0, cfg.runs):
+        (_, c1, o1), (_, c2, o2) = steps
         if c1 == 0:
             table[o1, c2] += 1
+        counts[0, c1, o1] += 1
+        counts[1, c2, o2] += 1
+    assert np.array_equal(counts, _Sampler(cfg).tally(0, cfg.runs))
     chi2 = scipy.stats.chi2_contingency(table)
     assert chi2.pvalue > 0.01
 
@@ -314,14 +321,37 @@ def game_configs():
                    players=3, runs=150, seed=(1 << 64) - 1),
         GameConfig(n=7, protocol=ProtocolId.A_ONLY, ineq=InequalityId.ALPHA,
                    players=5, runs=150, seed=0),
+        # a mixed initial state, and a Born table filled on demand
+        GameConfig(n=21, protocol=ProtocolId.FULL, ineq=InequalityId.BETA,
+                   players=4, runs=150, seed=3,
+                   initial_state=DensityMatrix(random_mixed_matrix(3))),
     ]
+
+
+def oracle_kernel(cfg):
+    return measure_full if cfg.protocol is ProtocolId.FULL else montecarlo._measure_dichotomic
+
+
+def oracle_runs(cfg, start, stop):
+    """Each run's (position, choice, slot) steps from the sampler's draws and
+    the scalar kernels."""
+    sampler, measure = _Sampler(cfg), oracle_kernel(cfg)
+    positions = np.arange(1, cfg.players + 1, dtype=np.uint64)
+    for lo in range(start, stop, 4096):
+        runs = np.arange(lo, min(lo + 4096, stop), dtype=np.uint64)[:, None] << np.uint64(16)
+        choices, us = montecarlo._draws(cfg.seed, (runs | positions).ravel(), cfg.n)
+        for cs, xs in zip(choices.reshape(-1, cfg.players).tolist(),
+                          us.reshape(-1, cfg.players).tolist()):
+            state, steps = cfg.initial_state.m, []
+            for pos, c, x in zip(range(1, cfg.players + 1), cs, xs):
+                slot, state = measure(state, sampler.vectors[c], sampler.projectors[c], x)
+                steps.append((pos, c, slot))
+            yield steps
 
 
 def scalar_tally(cfg, start, stop):
     """The reference: one fresh generator and two scalar draws per step."""
-    sampler = _Sampler(cfg)
-    measure = (montecarlo._measure_full if cfg.protocol is ProtocolId.FULL
-               else montecarlo._measure_dichotomic)
+    sampler, measure = _Sampler(cfg), oracle_kernel(cfg)
     counts = np.zeros((cfg.players, cfg.n, sampler.n_outcomes), dtype=np.int64)
     for run in range(start, stop):
         state = cfg.initial_state.m
@@ -351,11 +381,111 @@ def test_rejected_lanes_fall_back_to_the_scalar_stream(monkeypatch):
 
 
 def test_runs_split_across_lane_blocks(monkeypatch):
-    # 7 lanes a block: runs of 3, 4 and 5 players straddle block ends
-    expected = [scalar_tally(cfg, 3, cfg.runs) for cfg in game_configs()]
+    # 7 lanes a block: dichotomic runs of 3 and 5 players straddle block ends;
+    # the complete measurement's last block holds 143 % 7 = 3 runs, whose
+    # positions are drawn two at a time
+    expected = [scalar_tally(cfg, 3, 146) for cfg in game_configs()]
     monkeypatch.setattr(montecarlo, "_LANES", 7)
     for cfg, counts in zip(game_configs(), expected):
-        assert np.array_equal(_Sampler(cfg).tally(3, cfg.runs), counts)
+        assert np.array_equal(_Sampler(cfg).tally(3, 146), counts)
+
+
+@functools.cache
+def full_protocol_cases(n):
+    """(config, scalar tally of runs 3..97) at 1, 2, 7 and 48 players, with the
+    handle and a random mixed initial state; shared by the parametrized cases."""
+    mixed = DensityMatrix(random_mixed_matrix(n))
+    cases = []
+    for players, initial in [(1, handle_state()), (2, mixed), (7, handle_state()), (48, mixed)]:
+        cfg = GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                         players=players, runs=100, seed=players, initial_state=initial)
+        cases.append((cfg, scalar_tally(cfg, 3, 97)))
+    return cases
+
+
+@pytest.mark.parametrize("lanes", [7, 1024])
+@pytest.mark.parametrize("eager", [False, True], ids=["on-demand", "eager"])
+@pytest.mark.parametrize("n", [5, 9, 19, 21])
+def test_state_index_sampler_matches_the_scalar_kernel(monkeypatch, n, eager, lanes):
+    # both ways of filling the Born table, the handle and mixed states, and
+    # draws that cover several positions of a block: 94 runs are 13 blocks of
+    # 7 and one of 3, drawn two positions at a time, or one block drawn ten
+    # positions at a time
+    cases = full_protocol_cases(n)
+    monkeypatch.setattr(montecarlo, "_LANES", lanes)
+    for cfg, counts in cases:
+        sampler = _Sampler(cfg)
+        sampler.born = montecarlo._BornTable(cfg.initial_state.m, sampler.vectors,
+                                             sampler.projectors, eager)
+        assert np.array_equal(sampler.tally(3, 97), counts), (cfg.players, eager)
+        assert (sampler.born.dense is not None) == eager
+        if not eager:
+            assert len(sampler.born.memo) <= (3 * n + 1) * n
+
+
+@pytest.mark.parametrize("n", [5, 9, 19])
+def test_born_table_entries_are_the_scalar_kernels_sums(n):
+    # every (state, choice) entry, dense or memoised, is bit for bit the first
+    # two running sums of the scalar kernel, on states built from np.outer
+    for initial in (handle_state(), DensityMatrix(random_mixed_matrix(n))):
+        cfg = GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                         players=1, runs=(3 * n + 1) * n, seed=0, initial_state=initial)
+        sampler = _Sampler(cfg)
+        states = [initial.m, *(np.outer(v, v) for vs in sampler.vectors for v in vs)]
+        want = np.array([cumulative_born(s, vs)[:2] for s in states for vs in sampler.vectors])
+        assert np.array_equal(sampler.born.dense, want)
+        lazy = montecarlo._BornTable(initial.m, sampler.vectors, sampler.projectors, False)
+        keys = np.arange(len(want))[::-1].copy()
+        assert np.array_equal(lazy[keys], want[keys])
+
+
+def test_state_index_slot_at_a_cumulative_boundary(monkeypatch):
+    # a uniform equal to a running sum belongs to the next slot, as in the
+    # scalar kernel: every lane's uniform is set to its choice's cum0 or cum1
+    cfg = GameConfig(n=5, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                     players=1, runs=200, seed=4)
+    sampler = _Sampler(cfg)
+    draws = montecarlo._draws
+
+    def on_a_boundary(seed, stream_ids, n):
+        choices, _ = draws(seed, stream_ids, n)
+        lanes = np.arange(len(choices))
+        return choices, sampler.born[choices][lanes, lanes % 2]  # state 0: key = choice
+
+    monkeypatch.setattr(montecarlo, "_draws", on_a_boundary)
+    expected = np.zeros((1, 5, 3), dtype=np.int64)
+    ids = np.arange(cfg.runs, dtype=np.uint64) << np.uint64(16) | np.uint64(1)
+    for c, u in zip(*on_a_boundary(cfg.seed, ids, cfg.n)):
+        vs = sampler.vectors[c]
+        expected[0, c, measure_full(cfg.initial_state.m, vs, outer_projectors(vs), u)[0]] += 1
+    assert np.array_equal(sampler.tally(0, cfg.runs), expected)
+    assert expected[0, :, 0].sum() == 0  # no uniform fell strictly inside slot 0
+
+
+def test_born_table_is_dense_only_when_no_larger_than_the_call(monkeypatch):
+    def full(n, players, runs):
+        return GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                          players=players, runs=runs, seed=0)
+
+    # (3n + 1) n entries: 252 at n=9, 1344 at n=21
+    for n, players, runs, dense in [(9, 3, 84, True), (9, 1, 251, False),
+                                    (21, 4, 336, True), (21, 1, 1343, False)]:
+        assert (_Sampler(full(n, players, runs)).born.dense is not None) == dense, n
+    # at large n a tally computes only the entries its runs meet, never the
+    # 9n^2 floats of the whole table
+    computed = []
+    entry = montecarlo._BornTable._entry
+
+    def counted(table, key):
+        computed.append(key)
+        assert len(computed) <= 100, "more Born entries than player steps"
+        return entry(table, key)
+
+    monkeypatch.setattr(montecarlo._BornTable, "_entry", counted)
+    sampler = _Sampler(full(20001, 1, 100))
+    assert sampler.born.dense is None and not computed
+    sampler.tally(0, 100)
+    assert 0 < len(sampler.born.memo) == len(computed) <= 100
 
 
 @pytest.mark.parametrize(
@@ -364,7 +494,7 @@ def test_runs_split_across_lane_blocks(monkeypatch):
      (7, ProtocolId.A_ONLY, InequalityId.ALPHA)],
     ids=["full-alpha", "b-beta", "a-alpha"],
 )
-def test_estimate_json_identical_at_1_2_and_8_workers(n, protocol, ineq):
+def test_estimate_json_identical_at_1_2_and_8_workers(pooled, n, protocol, ineq):
     # three players do not divide the lane block, so blocks end mid-run, and
     # 1001 runs give chunks of unequal size; the dichotomic protocols take the
     # complement branch, whose state is computed rather than cached
@@ -375,6 +505,42 @@ def test_estimate_json_identical_at_1_2_and_8_workers(n, protocol, ineq):
         for w in (1, 2, 8)
     }
     assert len(texts) == 1
+    assert pooled == [2, 8]
+
+
+def test_each_pool_worker_gets_the_kernels_minimum(monkeypatch):
+    # the merge and the tally are stubbed: only the worker count is under test
+    sizes = []
+
+    def merge(cfg, ranges):
+        sizes.append(len(ranges))
+        return np.zeros((cfg.players, cfg.n, 2), dtype=np.int64)
+
+    monkeypatch.setattr(montecarlo, "_merge_parallel", merge)
+    monkeypatch.setattr(montecarlo, "_tally_range", lambda cfg, lo, hi: merge(cfg, [(lo, hi)]))
+    minimum = montecarlo.POOL_MIN_STEPS["dichotomic"]
+    for runs, workers, expected in [(minimum // 2 - 1, 8, 1), (minimum // 2, 8, 2),
+                                    (minimum * 4, 8, 8), (minimum * 4, 3, 3),
+                                    (minimum * 4, 1, 1)]:
+        sizes.clear()
+        estimate_sequence(cfg_b5(runs=runs), workers=workers)  # 4 players a run
+        assert sizes == [expected], (runs, workers)
+
+
+def test_small_calls_never_start_a_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("process pool started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for cfg in game_configs():  # at most 750 player steps each
+        assert np.array_equal(estimate_sequence(cfg, workers=8).counts,
+                              _Sampler(cfg).tally(0, cfg.runs))
+    monkeypatch.setattr(montecarlo, "POOL_MIN_STEPS",
+                        dict.fromkeys(montecarlo.POOL_MIN_STEPS, 1))
+    with pytest.raises(AssertionError, match="process pool started"):
+        estimate_sequence(game_configs()[0], workers=8)
 
 
 def test_projector_stack_is_read_only_and_survives_a_tally():
@@ -394,8 +560,13 @@ def test_projector_stack_is_read_only_and_survives_a_tally():
     assert slot == 0 and state is pv
     with pytest.raises(ValueError):
         state[0, 0] = 0.0
+    # the state-index kernel's state 1 + 3c + o is the cached projectors[c][o]
     sampler = _Sampler(game_configs()[1])
-    vs, ps = sampler.vectors[0], sampler.projectors[0]
-    slot, state = montecarlo._measure_full(handle_state().m, vs, ps, 0.0)
-    with pytest.raises(ValueError):
-        state[0, 0] = 0.0
+    states = sampler.born.states
+    assert len(states) == 3 * sampler.cfg.n + 1 and states[0] is sampler.cfg.initial_state.m
+    for c, ps in enumerate(sampler.projectors):
+        for o, p in enumerate(ps):
+            state = states[1 + 3 * c + o]
+            assert np.shares_memory(state, sampler.projectors) and np.array_equal(state, p)
+            with pytest.raises(ValueError):
+                state[0, 0] = 0.0

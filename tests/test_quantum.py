@@ -19,11 +19,16 @@ from ncycle import (
     pure_state,
     random_pure_state,
 )
-from ncycle.montecarlo import _measure_dichotomic, _measure_full
+from ncycle.montecarlo import _BornTable, _measure_dichotomic
 from ncycle.protocols import InequalityId, ProtocolId, measurement_set
 from ncycle.quantum import projector_complement, projector_onto
 
-from conftest import oracle_handle_overlap_sq, outer_projectors, random_mixed_matrix
+from conftest import (
+    measure_full,
+    oracle_handle_overlap_sq,
+    outer_projectors,
+    random_mixed_matrix,
+)
 
 
 def complement_branch(m, v):
@@ -90,7 +95,7 @@ def test_luders_rank1_projects(sc5, handle):
     assert slot == 0
     assert np.abs(out - np.outer(a0, a0)).max() < 1e-14
     vs = sc5.outcome_vectors()[0]
-    slot, out = _measure_full(handle.m, vs, outer_projectors(vs), 0.0)
+    slot, out = measure_full(handle.m, vs, outer_projectors(vs), 0.0)
     assert slot == 0
     assert np.abs(out - np.outer(a0, a0)).max() < 1e-14
 
@@ -248,8 +253,12 @@ def test_luders_kernels_are_bit_exact(seed, vec_seed, u):
             q = 1.0 - p0
             expected = (state - np.outer(w, v) - np.outer(v, w) + p0 * np.outer(v, v)) / q
         assert np.array_equal(out, expected)
-    slot, out = _measure_full(state, vs, outer_projectors(vs), u)
+    slot, out = measure_full(state, vs, outer_projectors(vs), u)
     assert np.array_equal(out, np.outer(vs[slot], vs[slot]))
+    # the state-index kernel's entry for this state puts u in the same slot
+    table = _BornTable(state, vs[None], outer_projectors(vs)[None], eager=False)
+    cum0, cum1 = table[np.zeros(1, dtype=np.int64)][0]
+    assert int(u >= cum0) + int(u >= cum1) == slot
 
 
 def test_random_pure_state_is_pure():
