@@ -19,14 +19,17 @@ about n * 2^-32) is redrawn from a fresh
 ``Generator(Philox(key=[seed, stream_id]))``, so every draw equals the one the
 documented derivation makes.
 
-The Lüders update reads each choice's rank-1 projectors from a read-only
-stack that a sampler builds once, elementwise the same products
-``np.outer(v, v)`` gives, so every post-measurement state is bit-identical to
-one built from fresh outer products.  A state after a rank-1 outcome is that
-cached projector itself, not a copy.  Under the complete measurement every
-state after the first is such a projector, so a run's state is an index and
-its next Born probabilities are an entry of a ``_BornTable``: one position is
-then a gather and two comparisons across a block of runs.
+No draw depends on the order in which lanes are visited, so every protocol
+shares one loop, ``_Sampler.tally``: blocks of runs, positions in order, one
+measurement step per position across the block.  The Lüders update reads each
+choice's rank-1 projectors from a read-only stack that a sampler builds once,
+elementwise the same products ``np.outer(v, v)`` gives, so every
+post-measurement state is bit-identical to one built from fresh outer
+products.  A state after a rank-1 outcome is that cached projector itself,
+not a copy.  Under the complete measurement every state after the first is
+such a projector, so a run's state is an index and its next Born
+probabilities are an entry of a memoised ``_BornTable``: one position is then
+a gather and two comparisons across a block of runs.
 
 ``workers`` is a maximum: a call starts a process pool only when each worker
 gets at least ``POOL_MIN_STEPS`` player steps of its kernel, and below that
@@ -194,21 +197,15 @@ class _BornTable:
     cumulative probabilities ``(cum0, cum1)`` of that choice's outcomes, each
     summed in Python floats from ``np.einsum("oi,ij,oj->o", ...)`` with
     negatives clamped to 0, so a uniform ``u`` lands in slot
-    ``(u >= cum0) + (u >= cum1)``, the slot the scalar kernel picks.
-
-    ``eager`` fills a dense ``((3n + 1) n, 2)`` table up front.  Otherwise an
-    entry is computed on its first use and memoised, so large n holds only the
+    ``(u >= cum0) + (u >= cum1)``, the slot the scalar kernel picks.  An entry
+    is computed on its first use and memoised, so a call holds only the
     entries its runs meet, never the 9n^2 floats of the whole table.
     """
 
-    def __init__(self, initial: np.ndarray, vectors: np.ndarray, projectors: np.ndarray,
-                 eager: bool):
+    def __init__(self, initial: np.ndarray, vectors: np.ndarray, projectors: np.ndarray):
         self.states = [initial, *(p for ps in projectors for p in ps)]
         self.vectors = vectors
         self.memo: dict[int, tuple[float, float]] = {}
-        self.dense = None
-        if eager:
-            self.dense = np.array([self._entry(k) for k in range(len(self.states) * len(vectors))])
 
     def _entry(self, key: int) -> tuple[float, float]:
         state, choice = divmod(key, len(self.vectors))
@@ -219,8 +216,6 @@ class _BornTable:
 
     def __getitem__(self, keys: np.ndarray) -> np.ndarray:
         """The ``(len(keys), 2)`` entries of an int64 key array."""
-        if self.dense is not None:
-            return self.dense[keys]
         uniq, inverse = np.unique(keys, return_inverse=True)
         memo, rows = self.memo, []
         for key in uniq.tolist():
@@ -240,12 +235,12 @@ class _Sampler:
     ``projectors[c]`` holds the rank-1 projectors of ``vectors[c]``, built once
     here and read-only, because states are those very arrays.
 
-    The complete measurement keeps each run's state as an index into a
-    ``_BornTable``, so a position is one gather and two comparisons across a
-    block of runs; the table is dense when it has no more entries than the
-    call has player steps.  A dichotomic state after the complement outcome
-    depends on the history, so ``play`` runs ``_measure_dichotomic`` lane by
-    lane.
+    ``tally`` is the one sampler loop: blocks of runs, positions in order, and
+    one ``_measure`` step per position across the block.  The complete
+    measurement keeps each run's state as an index into a ``_BornTable``, so a
+    step is one gather and two comparisons.  A dichotomic state after the
+    complement outcome depends on the history, so its step runs
+    ``_measure_dichotomic`` on a list of 3x3 states, lane by lane.
     """
 
     def __init__(self, cfg: GameConfig):
@@ -262,47 +257,24 @@ class _Sampler:
         self.projectors.setflags(write=False)
         self.born = None
         if not dichotomic:
-            eager = (3 * cfg.n + 1) * cfg.n <= cfg.runs * cfg.players
-            self.born = _BornTable(cfg.initial_state.m, self.vectors, self.projectors, eager)
-
-    def play(self, start: int, stop: int):
-        """Yield, for each run in [start, stop), its (position, choice, outcome_slot)
-        steps under a dichotomic protocol."""
-        cfg = self.cfg
-        players = cfg.players
-        vectors, projectors = self.vectors, self.projectors
-        total = (stop - start) * players
-        for lo in range(0, total, _LANES):
-            lanes = np.arange(lo, min(lo + _LANES, total), dtype=np.uint64)
-            runs = lanes // np.uint64(players) + np.uint64(start)
-            positions = lanes % np.uint64(players) + np.uint64(1)
-            choices, us = _draws(cfg.seed, (runs << np.uint64(16)) | positions, cfg.n)
-            for pos, c, x in zip(positions.tolist(), choices.tolist(), us.tolist()):
-                if pos == 1:
-                    state, steps = cfg.initial_state.m, []
-                slot, state = _measure_dichotomic(state, vectors[c], projectors[c], x)
-                steps.append((pos, c, slot))
-                if pos == players:
-                    yield steps
+            self.born = _BornTable(cfg.initial_state.m, self.vectors, self.projectors)
 
     def tally(self, start: int, stop: int) -> np.ndarray:
-        counts = np.zeros((self.cfg.players, self.cfg.n, self.n_outcomes), dtype=np.int64)
-        if self.born is not None:
-            self._tally_complete(start, stop, counts.reshape(-1))
-        else:
-            for steps in self.play(start, stop):
-                for pos, choice, slot in steps:
-                    counts[pos - 1, choice, slot] += 1
-        return counts
+        """The (players, n, outcomes) tally of runs [start, stop).
 
-    def _tally_complete(self, start: int, stop: int, flat: np.ndarray) -> None:
-        """Add the complete measurement's runs [start, stop) into ``flat``, the
-        raveled (players, n, 3) tally: blocks of runs, positions in order."""
-        cfg, born = self.cfg, self.born
-        n, players, cells = cfg.n, cfg.players, 3 * cfg.n
+        Runs go in blocks of at most ``_LANES``; a block with fewer runs draws
+        several positions at once, never more than ``_LANES`` lanes a draw,
+        and adds one ``np.bincount`` per draw, cell ``outcomes * choice + slot``.
+        """
+        cfg, outcomes = self.cfg, self.n_outcomes
+        n, players, cells = cfg.n, cfg.players, cfg.n * outcomes
+        flat = np.zeros(players * cells, dtype=np.int64)
         for r0 in range(start, stop, _LANES):
             runs = np.arange(r0, min(r0 + _LANES, stop), dtype=np.uint64) << np.uint64(16)
-            state = np.zeros(len(runs), dtype=np.int64)
+            if self.born is not None:
+                state = np.zeros(len(runs), dtype=np.int64)
+            else:
+                state = [cfg.initial_state.m] * len(runs)
             width = max(1, _LANES // len(runs))  # positions drawn at once
             for p0 in range(0, players, width):
                 p1 = min(p0 + width, players)
@@ -311,13 +283,26 @@ class _Sampler:
                 choices, us = choices.reshape(p1 - p0, -1), us.reshape(p1 - p0, -1)
                 cell = np.empty_like(choices)  # (q, choice, slot) of each lane
                 for q, (c, u) in enumerate(zip(choices, us)):
-                    cum = born[state * n + c]
-                    slot = (u >= cum[:, 0]).astype(np.int64) + (u >= cum[:, 1])
-                    state = 1 + 3 * c + slot
-                    cell[q] = state - 1 + q * cells
+                    slots, state = self._measure(state, c, u)
+                    cell[q] = outcomes * c + slots + q * cells
                 flat[p0 * cells:p1 * cells] += np.bincount(
                     cell.ravel(), minlength=(p1 - p0) * cells
                 )
+        return flat.reshape(players, n, outcomes)
+
+    def _measure(self, state, choices: np.ndarray, us: np.ndarray):
+        """One position across a block of runs: each run's outcome slot and
+        its state after the measurement."""
+        if self.born is not None:
+            cum = self.born[state * self.cfg.n + choices]
+            slots = (us >= cum[:, 0]).astype(np.int64) + (us >= cum[:, 1])
+            return slots, 1 + 3 * choices + slots
+        vectors, projectors = self.vectors, self.projectors
+        slots, state = zip(*(
+            _measure_dichotomic(s, vectors[c], projectors[c], u)
+            for s, c, u in zip(state, choices.tolist(), us.tolist())
+        ))
+        return np.array(slots), state
 
 
 def _measure_dichotomic(state: np.ndarray, v: np.ndarray, pv: np.ndarray, u: float):
@@ -434,7 +419,7 @@ def estimate_sequence(cfg: GameConfig, workers: int = 1) -> SimulationEstimate:
     per_pos = counts.sum(axis=1)  # (players, n_outcomes)
     mean = n * (per_pos @ w) / r
     second = n * n * (per_pos @ (w * w)) / r
-    var = (second - mean**2) * (r / (r - 1)) if r > 1 else np.zeros_like(mean)
+    var = (second - mean**2) * (r / (r - 1))
     stderr = np.sqrt(np.maximum(var, 0.0) / r)
     return SimulationEstimate(
         config=cfg,

@@ -22,7 +22,8 @@ from ncycle import (
 )
 from ncycle import montecarlo
 from ncycle.montecarlo import _first_draws, _Sampler, analytic_reference, zscores_against
-from ncycle.quantum import DensityMatrix, handle_state
+from ncycle.protocols import inequalities
+from ncycle.quantum import DensityMatrix, average_protocol_channel, handle_state
 
 from conftest import cumulative_born, measure_full, outer_projectors, random_mixed_matrix
 
@@ -45,7 +46,7 @@ def cfg_b5(**kw):
 
 
 def first_run_steps(cfg, run):
-    return next(_Sampler(cfg).play(run, run + 1))
+    return next(oracle_runs(cfg, run, run + 1))
 
 
 def test_run_is_deterministic():
@@ -252,6 +253,76 @@ def test_statistical_soundness_two_sigma_coverage():
     assert hits / total >= 0.90
 
 
+def g_test_configs():
+    """Six players at n=7 for each protocol, from one non-symmetric mixed state."""
+    mixed = DensityMatrix(random_mixed_matrix(7))
+    return [
+        GameConfig(n=7, protocol=p, ineq=inequalities(p)[0], players=6, runs=4000,
+                   seed=40 + j, initial_state=mixed)
+        for j, p in enumerate(ProtocolId)
+    ]
+
+
+#: Family-wise level of the G-tests, shared by Bonferroni over every position.
+G_TEST_ALPHA = 1e-3
+G_TEST_THRESHOLD = G_TEST_ALPHA / sum(cfg.players for cfg in g_test_configs())
+
+
+def g_test_pvalues(cfg, counts):
+    """Per-position G-test p-values of the (choice, outcome) table against
+    ``runs/n * tr(P_{i,o} Lambda^{k-1}(rho))``: Lambda is the protocol's average
+    channel, P_{i,o} the sampler's projectors, ``I - P`` a complement outcome."""
+    ps = _Sampler(cfg).projectors
+    if ps.ndim == 3:
+        ps = np.stack([ps, np.eye(3) - ps], axis=1)
+    channel = average_protocol_channel(build_scenario(cfg.n), cfg.protocol)
+    state, pvalues = cfg.initial_state.m, []
+    for observed in counts:
+        expected = cfg.runs / cfg.n * np.einsum("ioab,ba->io", ps, state)
+        pvalues.append(scipy.stats.power_divergence(
+            observed.ravel(), expected.ravel(), lambda_="log-likelihood").pvalue)
+        state = channel.on_matrix(state)
+    return pvalues
+
+
+def test_tally_table_passes_a_g_test_at_every_position():
+    # every (position, choice, outcome) count, not only the per-position
+    # estimate, follows the analytic distribution
+    for cfg in g_test_configs():
+        pvalues = g_test_pvalues(cfg, estimate_sequence(cfg).counts)
+        assert min(pvalues) > G_TEST_THRESHOLD, (cfg.protocol, pvalues)
+
+
+def test_g_test_sees_faults_the_z_check_misses(monkeypatch):
+    # two outcome slots swapped in the tally, and a choice draw biased from 0
+    # to 1 on every other lane: the per-position estimates stay within 4
+    # standard errors, the G-test rejects
+    cfg = g_test_configs()[0]  # full protocol, alpha: slots 0 and 2 weigh alike
+    honest = estimate_sequence(cfg)
+    measure = _Sampler._measure
+
+    def swapped(self, state, choices, us):
+        slots, state = measure(self, state, choices, us)
+        return 2 - slots, state
+
+    monkeypatch.setattr(_Sampler, "_measure", swapped)
+    est = estimate_sequence(cfg)
+    assert est.estimates == honest.estimates and zscores_against(est, analytic_reference(cfg))[1]
+    assert min(g_test_pvalues(cfg, est.counts)) < G_TEST_THRESHOLD
+    monkeypatch.undo()
+    draws = montecarlo._draws
+
+    def biased(seed, stream_ids, n):
+        choices, us = draws(seed, stream_ids, n)
+        return np.where((choices == 0) & (np.arange(len(choices)) % 2 == 0), 1, choices), us
+
+    monkeypatch.setattr(montecarlo, "_draws", biased)
+    for cfg in g_test_configs():
+        est = estimate_sequence(cfg)
+        assert zscores_against(est, analytic_reference(cfg))[1], cfg.protocol
+        assert min(g_test_pvalues(cfg, est.counts)) < G_TEST_THRESHOLD, cfg.protocol
+
+
 def test_position1_independent_of_later_choices():
     # no signaling backward in time: the first player's (choice, outcome)
     # statistics cannot depend on the second player's choice.  The tally keeps
@@ -381,9 +452,8 @@ def test_rejected_lanes_fall_back_to_the_scalar_stream(monkeypatch):
 
 
 def test_runs_split_across_lane_blocks(monkeypatch):
-    # 7 lanes a block: dichotomic runs of 3 and 5 players straddle block ends;
-    # the complete measurement's last block holds 143 % 7 = 3 runs, whose
-    # positions are drawn two at a time
+    # 7 lanes a block: 143 runs are 20 blocks of 7 runs, one position a draw,
+    # and a last block of 3 runs, whose positions are drawn two at a time
     expected = [scalar_tally(cfg, 3, 146) for cfg in game_configs()]
     monkeypatch.setattr(montecarlo, "_LANES", 7)
     for cfg, counts in zip(game_configs(), expected):
@@ -391,52 +461,52 @@ def test_runs_split_across_lane_blocks(monkeypatch):
 
 
 @functools.cache
-def full_protocol_cases(n):
-    """(config, scalar tally of runs 3..97) at 1, 2, 7 and 48 players, with the
-    handle and a random mixed initial state; shared by the parametrized cases."""
+def sampler_cases(protocol, n, stop):
+    """(config, scalar tally of runs 3..stop-1) at 1, 2, 7 and 48 players, with
+    the handle and a random mixed initial state; shared by the parametrized
+    cases."""
     mixed = DensityMatrix(random_mixed_matrix(n))
     cases = []
     for players, initial in [(1, handle_state()), (2, mixed), (7, handle_state()), (48, mixed)]:
-        cfg = GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+        cfg = GameConfig(n=n, protocol=protocol, ineq=inequalities(protocol)[0],
                          players=players, runs=100, seed=players, initial_state=initial)
-        cases.append((cfg, scalar_tally(cfg, 3, 97)))
+        cases.append((cfg, scalar_tally(cfg, 3, stop)))
     return cases
 
 
-@pytest.mark.parametrize("lanes", [7, 1024])
-@pytest.mark.parametrize("eager", [False, True], ids=["on-demand", "eager"])
+@pytest.mark.parametrize("lanes", [1, 7, 1024])
 @pytest.mark.parametrize("n", [5, 9, 19, 21])
-def test_state_index_sampler_matches_the_scalar_kernel(monkeypatch, n, eager, lanes):
-    # both ways of filling the Born table, the handle and mixed states, and
-    # draws that cover several positions of a block: 94 runs are 13 blocks of
-    # 7 and one of 3, drawn two positions at a time, or one block drawn ten
-    # positions at a time
-    cases = full_protocol_cases(n)
+@pytest.mark.parametrize("protocol", list(ProtocolId), ids=lambda p: p.value)
+def test_sampler_matches_the_scalar_kernel(monkeypatch, protocol, n, lanes):
+    # the handle and mixed states, drawn one lane at a time (10 runs suffice),
+    # or 94 runs as 13 blocks of 7 and one of 3, drawn two positions at a time,
+    # or as one block drawn ten positions at a time: a run's last draw then
+    # covers fewer positions than the others
+    stop = 13 if lanes == 1 else 97
+    cases = sampler_cases(protocol, n, stop)
     monkeypatch.setattr(montecarlo, "_LANES", lanes)
     for cfg, counts in cases:
         sampler = _Sampler(cfg)
-        sampler.born = montecarlo._BornTable(cfg.initial_state.m, sampler.vectors,
-                                             sampler.projectors, eager)
-        assert np.array_equal(sampler.tally(3, 97), counts), (cfg.players, eager)
-        assert (sampler.born.dense is not None) == eager
-        if not eager:
+        assert np.array_equal(sampler.tally(3, stop), counts), cfg.players
+        if sampler.born is not None:
             assert len(sampler.born.memo) <= (3 * n + 1) * n
 
 
 @pytest.mark.parametrize("n", [5, 9, 19])
 def test_born_table_entries_are_the_scalar_kernels_sums(n):
-    # every (state, choice) entry, dense or memoised, is bit for bit the first
-    # two running sums of the scalar kernel, on states built from np.outer
+    # every (state, choice) entry, computed or read back from the memo, is bit
+    # for bit the first two running sums of the scalar kernel, on states built
+    # from np.outer
     for initial in (handle_state(), DensityMatrix(random_mixed_matrix(n))):
         cfg = GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
-                         players=1, runs=(3 * n + 1) * n, seed=0, initial_state=initial)
+                         players=1, runs=100, seed=0, initial_state=initial)
         sampler = _Sampler(cfg)
         states = [initial.m, *(np.outer(v, v) for vs in sampler.vectors for v in vs)]
         want = np.array([cumulative_born(s, vs)[:2] for s in states for vs in sampler.vectors])
-        assert np.array_equal(sampler.born.dense, want)
-        lazy = montecarlo._BornTable(initial.m, sampler.vectors, sampler.projectors, False)
-        keys = np.arange(len(want))[::-1].copy()
-        assert np.array_equal(lazy[keys], want[keys])
+        keys = np.arange(len(want))
+        assert np.array_equal(sampler.born[keys[::-1].copy()], want[::-1])
+        assert len(sampler.born.memo) == len(want)
+        assert np.array_equal(sampler.born[keys], want)
 
 
 def test_state_index_slot_at_a_cumulative_boundary(monkeypatch):
@@ -462,30 +532,20 @@ def test_state_index_slot_at_a_cumulative_boundary(monkeypatch):
     assert expected[0, :, 0].sum() == 0  # no uniform fell strictly inside slot 0
 
 
-def test_born_table_is_dense_only_when_no_larger_than_the_call(monkeypatch):
-    def full(n, players, runs):
-        return GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
-                          players=players, runs=runs, seed=0)
-
-    # (3n + 1) n entries: 252 at n=9, 1344 at n=21
-    for n, players, runs, dense in [(9, 3, 84, True), (9, 1, 251, False),
-                                    (21, 4, 336, True), (21, 1, 1343, False)]:
-        assert (_Sampler(full(n, players, runs)).born.dense is not None) == dense, n
-    # at large n a tally computes only the entries its runs meet, never the
-    # 9n^2 floats of the whole table
+def test_born_table_computes_at_most_one_entry_per_player_step(monkeypatch):
+    # entries are computed on first use and memoised, so a tally computes each
+    # at most once and never more than its player steps; at n=20001 that is
+    # not the 9n^2 floats of the whole table
     computed = []
     entry = montecarlo._BornTable._entry
-
-    def counted(table, key):
-        computed.append(key)
-        assert len(computed) <= 100, "more Born entries than player steps"
-        return entry(table, key)
-
-    monkeypatch.setattr(montecarlo._BornTable, "_entry", counted)
-    sampler = _Sampler(full(20001, 1, 100))
-    assert sampler.born.dense is None and not computed
-    sampler.tally(0, 100)
-    assert 0 < len(sampler.born.memo) == len(computed) <= 100
+    monkeypatch.setattr(montecarlo._BornTable, "_entry",
+                        lambda table, key: computed.append(key) or entry(table, key))
+    for n, players, runs in [(9, 3, 30), (20001, 1, 100)]:
+        computed.clear()
+        cfg = GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                         players=players, runs=runs, seed=0)
+        _Sampler(cfg).tally(0, runs)
+        assert 0 < len(computed) == len(set(computed)) <= players * runs, n
 
 
 @pytest.mark.parametrize(
@@ -495,9 +555,9 @@ def test_born_table_is_dense_only_when_no_larger_than_the_call(monkeypatch):
     ids=["full-alpha", "b-beta", "a-alpha"],
 )
 def test_estimate_json_identical_at_1_2_and_8_workers(pooled, n, protocol, ineq):
-    # three players do not divide the lane block, so blocks end mid-run, and
-    # 1001 runs give chunks of unequal size; the dichotomic protocols take the
-    # complement branch, whose state is computed rather than cached
+    # 1001 runs give chunks of unequal size, whose blocks draw one, two or all
+    # three positions at a time; the dichotomic protocols take the complement
+    # branch, whose state is computed rather than cached
     cfg = GameConfig(n=n, protocol=protocol, ineq=ineq, players=3,
                      runs=1001, seed=5, ordering=Ordering.RANDOM_PERMUTATION)
     texts = {

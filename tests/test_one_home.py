@@ -7,6 +7,9 @@ restates them.  Standard library only (``ast``): any comparison (``is``,
 ``ProtocolId.B_ONLY`` as an operand, or inside one, fails outside
 ``protocols.py``.  Dispatch on ``ProtocolId.FULL``, which picks an analytic
 engine, stays allowed.
+
+The sampler's draws have one home too: ``montecarlo._draws`` has exactly one
+caller in ``src/ncycle``, the one sampler loop ``_Sampler.tally``.
 """
 
 import ast
@@ -56,3 +59,28 @@ def test_guard_sees_the_branches_it_forbids():
         "y = ProtocolId.B_ONLY != q\n"
     )
     assert restatements(tree) == [1, 4, 5]
+
+
+def draws_callers(tree: ast.Module) -> list[int]:
+    """Line numbers of the calls to ``_draws``, bare or as an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "_draws" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+def test_draws_have_one_caller():
+    callers = {
+        p.name: lines
+        for p in sorted(SRC.glob("*.py"))
+        if (lines := draws_callers(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert sum(map(len, callers.values())) == 1, f"_draws is called at {callers}"
+
+
+def test_draws_guard_sees_every_call():
+    tree = ast.parse("a = _draws(s, ids, n)\nb = montecarlo._draws(s, ids, n)\n"
+                     "c = _first_draws(s, ids, n)\nd = _draws\n")
+    assert draws_callers(tree) == [1, 2]

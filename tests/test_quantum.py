@@ -256,7 +256,7 @@ def test_luders_kernels_are_bit_exact(seed, vec_seed, u):
     slot, out = measure_full(state, vs, outer_projectors(vs), u)
     assert np.array_equal(out, np.outer(vs[slot], vs[slot]))
     # the state-index kernel's entry for this state puts u in the same slot
-    table = _BornTable(state, vs[None], outer_projectors(vs)[None], eager=False)
+    table = _BornTable(state, vs[None], outer_projectors(vs)[None])
     cum0, cum1 = table[np.zeros(1, dtype=np.int64)][0]
     assert int(u >= cum0) + int(u >= cum1) == slot
 
