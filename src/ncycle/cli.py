@@ -359,4 +359,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # a reader that closes stdout early (``ncycle ... | head``) ends the
+    # process by SIGPIPE, as it does other command-line tools, instead of a
+    # BrokenPipeError that would exit 1, the code of an invariant breach;
+    # imported here so that ``import ncycle.cli`` does not load signal
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

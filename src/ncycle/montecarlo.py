@@ -21,15 +21,15 @@ documented derivation makes.
 
 No draw depends on the order in which lanes are visited, so every protocol
 shares one loop, ``_Sampler.tally``: blocks of runs, positions in order, one
-measurement step per position across the block.  The Lüders update reads each
-choice's rank-1 projectors from a read-only stack that a sampler builds once,
-elementwise the same products ``np.outer(v, v)`` gives, so every
-post-measurement state is bit-identical to one built from fresh outer
-products.  A state after a rank-1 outcome is that cached projector itself,
-not a copy.  Under the complete measurement every state after the first is
-such a projector, so a run's state is an index and its next Born
-probabilities are an entry of a memoised ``_BornTable``: one position is then
-a gather and two comparisons across a block of runs.
+measurement step per position across the block.  A sampler builds one
+read-only stack of states: the initial state and every rank-1 projector of
+the protocol's measurements, elementwise the same products ``np.outer(v, v)``
+gives, so every post-measurement state is bit-identical to one built from
+fresh outer products.  A state after a rank-1 outcome is that stacked
+projector itself, not a copy.  Under the complete measurement every state
+after the first is such a projector, so a run's state is an index into the
+stack, and one position is a gather and one batched Born contraction across
+a block of runs, with nothing cached between positions.
 
 ``workers`` is a maximum: a call starts a process pool only when each worker
 gets at least ``POOL_MIN_STEPS`` player steps of its kernel, and below that
@@ -188,76 +188,40 @@ def _draws(seed: int, stream_ids: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     return choice, u
 
 
-class _BornTable:
-    """Cumulative Born probabilities of the full protocol, per (state, choice).
-
-    After a complete measurement the state is one of the cached projectors, so
-    state 0 is the initial state and state ``1 + 3c + o`` is
-    ``projectors[c][o]``.  Key ``state * n + choice`` holds the first two
-    cumulative probabilities ``(cum0, cum1)`` of that choice's outcomes, each
-    summed in Python floats from ``np.einsum("oi,ij,oj->o", ...)`` with
-    negatives clamped to 0, so a uniform ``u`` lands in slot
-    ``(u >= cum0) + (u >= cum1)``, the slot the scalar kernel picks.  An entry
-    is computed on its first use and memoised, so a call holds only the
-    entries its runs meet, never the 9n^2 floats of the whole table.
-    """
-
-    def __init__(self, initial: np.ndarray, vectors: np.ndarray, projectors: np.ndarray):
-        self.states = [initial, *(p for ps in projectors for p in ps)]
-        self.vectors = vectors
-        self.memo: dict[int, tuple[float, float]] = {}
-
-    def _entry(self, key: int) -> tuple[float, float]:
-        state, choice = divmod(key, len(self.vectors))
-        vs = self.vectors[choice]
-        probs = np.einsum("oi,ij,oj->o", vs, self.states[state], vs)
-        cum0 = 0.0 + max(float(probs[0]), 0.0)
-        return cum0, cum0 + max(float(probs[1]), 0.0)
-
-    def __getitem__(self, keys: np.ndarray) -> np.ndarray:
-        """The ``(len(keys), 2)`` entries of an int64 key array."""
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        memo, rows = self.memo, []
-        for key in uniq.tolist():
-            if key not in memo:
-                memo[key] = self._entry(key)
-            rows.append(memo[key])
-        return np.array(rows)[inverse]
-
-
 class _Sampler:
     """Per-process sampling engine.
 
     Every (run, position) lane's choice and uniform come from ``_draws``, at
     most ``_LANES`` lanes at a time.  The measurement vectors and outcome count
     follow the protocol's ``SLOTS``: one slot is a dichotomic measurement
-    against its complement, three are a complete measurement.
-    ``projectors[c]`` holds the rank-1 projectors of ``vectors[c]``, built once
-    here and read-only, because states are those very arrays.
+    against its complement, three are a complete measurement.  ``states`` is
+    a read-only stack built once here: state 0 is the initial state and state
+    ``1 + k*c + o`` is the rank-1 projector of choice c's slot o, for the
+    protocol's k slots (``1 + 3c + o`` under the complete measurement).  It is
+    read-only because a run's state is one of those very arrays.
 
     ``tally`` is the one sampler loop: blocks of runs, positions in order, and
     one ``_measure`` step per position across the block.  The complete
-    measurement keeps each run's state as an index into a ``_BornTable``, so a
-    step is one gather and two comparisons.  A dichotomic state after the
-    complement outcome depends on the history, so its step runs
-    ``_measure_dichotomic`` on a list of 3x3 states, lane by lane.
+    measurement keeps each run's state as an index into ``states``, so a step
+    is a gather and one ``einsum`` of Born probabilities across the block.  A
+    dichotomic state after the complement outcome depends on the history, so
+    its step runs ``_measure_dichotomic`` on a list of 3x3 states, lane by
+    lane.
     """
 
     def __init__(self, cfg: GameConfig):
         self.cfg = cfg
         slots = SLOTS[cfg.protocol]
         u = build_scenario(cfg.n).outcome_vectors()[:, list(slots)]
-        dichotomic = _kernel(cfg.protocol) == "dichotomic"
-        if dichotomic:  # the slot's projector and its complement
-            self.vectors, self.n_outcomes = u[:, 0], 2
-        else:
+        self.by_index = _kernel(cfg.protocol) == "index"
+        if self.by_index:
             self.vectors, self.n_outcomes = u, len(slots)
-        # (n, 3, 3) or (n, 3, 3, 3): each element is the product np.outer makes
-        self.projectors = self.vectors[..., :, None] * self.vectors[..., None, :]
-        self.projectors.setflags(write=False)
-        self.born = None
-        if not dichotomic:
-            self.born = _BornTable(cfg.initial_state.m, self.vectors, self.projectors)
+        else:  # the slot's projector and its complement
+            self.vectors, self.n_outcomes = u[:, 0], 2
+        vs = u.reshape(-1, 3)
+        # each projector is elementwise the product np.outer makes
+        self.states = np.concatenate([cfg.initial_state.m[None], vs[:, :, None] * vs[:, None, :]])
+        self.states.setflags(write=False)
 
     def tally(self, start: int, stop: int) -> np.ndarray:
         """The (players, n, outcomes) tally of runs [start, stop).
@@ -271,10 +235,10 @@ class _Sampler:
         flat = np.zeros(players * cells, dtype=np.int64)
         for r0 in range(start, stop, _LANES):
             runs = np.arange(r0, min(r0 + _LANES, stop), dtype=np.uint64) << np.uint64(16)
-            if self.born is not None:
+            if self.by_index:
                 state = np.zeros(len(runs), dtype=np.int64)
             else:
-                state = [cfg.initial_state.m] * len(runs)
+                state = [self.states[0]] * len(runs)
             width = max(1, _LANES // len(runs))  # positions drawn at once
             for p0 in range(0, players, width):
                 p1 = min(p0 + width, players)
@@ -293,13 +257,15 @@ class _Sampler:
     def _measure(self, state, choices: np.ndarray, us: np.ndarray):
         """One position across a block of runs: each run's outcome slot and
         its state after the measurement."""
-        if self.born is not None:
-            cum = self.born[state * self.cfg.n + choices]
-            slots = (us >= cum[:, 0]).astype(np.int64) + (us >= cum[:, 1])
+        if self.by_index:
+            vs = self.vectors[choices, :2]
+            probs = np.maximum(np.einsum("koi,kij,koj->ko", vs, self.states[state], vs), 0.0)
+            cum0 = 0.0 + probs[:, 0]  # the running sums of the scalar kernel
+            slots = (us >= cum0).astype(np.int64) + (us >= cum0 + probs[:, 1])
             return slots, 1 + 3 * choices + slots
-        vectors, projectors = self.vectors, self.projectors
+        vectors, states = self.vectors, self.states
         slots, state = zip(*(
-            _measure_dichotomic(s, vectors[c], projectors[c], u)
+            _measure_dichotomic(s, vectors[c], states[1 + c], u)
             for s, c, u in zip(state, choices.tolist(), us.tolist())
         ))
         return np.array(slots), state
@@ -373,7 +339,11 @@ def _kernel(protocol: ProtocolId) -> str:
 #: numpy 2.4) two workers began to win at 50k and 39k steps (index) and at
 #: 2.9k and 3.2k steps (dichotomic, n=5; at n=19 they won from the smallest
 #: probed total, 4.8k).  Each minimum is half the median crossing, rounded up
-#: to a thousand: near the crossing a pool takes a second CPU for no gain.
+#: to a thousand: near the crossing a pool takes a second CPU for no gain.  A
+#: later probe of three interleaved passes put the index kernel's crossings at
+#: 28.6k to 32.0k steps (40.2k to 42.9k for its earlier table-lookup step) and
+#: the dichotomic n=5 ones at 3.1k to 5.6k; neither moved by 2x, so the
+#: minima stay.
 POOL_MIN_STEPS = {"index": 23_000, "dichotomic": 2_000}
 
 

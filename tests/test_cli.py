@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -425,6 +426,23 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().split("\n")[1] == "5,1,1,2,1,2,4"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe_without_a_traceback():
+    # a reader that stops early, as ``| head -c 100`` does, is no internal
+    # invariant breach (exit 1): the 2.3 MB of output end by SIGPIPE, silently
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncycle", "simulate", "--n", "101", "--players", "300",
+         "--runs", "100", "--protocol", "full"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == -signal.SIGPIPE
 
 
 def test_threads_env_does_not_change_bytes(tmp_path):

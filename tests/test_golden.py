@@ -10,6 +10,7 @@ intended output change, made by rewriting the file from the new output.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 from pathlib import Path
@@ -21,6 +22,7 @@ from ncycle import GameConfig, InequalityId, Ordering, ProtocolId, estimate_sequ
 from ncycle.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+REPLAY_GOLDEN = Path(__file__).resolve().parent.parent / "tools" / "replay_golden.py"
 
 CLI_CASES = {
     "sequence_n19_full_alpha.csv": ["sequence", "--n", "19", "--protocol", "full", "--ineq", "alpha"],
@@ -88,3 +90,16 @@ def test_library_estimate_golden_bytes(pooled, workers):
     want = (GOLDEN / "estimate_n7_a_alpha_random.json").read_text(encoding="utf-8")
     assert library_estimate_json(workers) == want
     assert pooled == ([workers] if workers > 1 else [])
+
+
+def test_perfbench_full_protocol_digests_replay(monkeypatch):
+    # a benchmark run at another seed meets only the warm-up call's digest of
+    # the full protocol; every recorded full-protocol call replays here, in
+    # this process, against the digest in perfbench/golden.json
+    monkeypatch.setenv("NCYCLE_THREADS", "1")
+    spec = importlib.util.spec_from_file_location("replay_golden", REPLAY_GOLDEN)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    keys = [k for k in replay.load_golden() if k.startswith("simulate ") and "--protocol full" in k]
+    assert len(keys) == 101
+    assert replay.mismatches(keys) == []

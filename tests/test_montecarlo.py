@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,10 +272,11 @@ G_TEST_THRESHOLD = G_TEST_ALPHA / sum(cfg.players for cfg in g_test_configs())
 def g_test_pvalues(cfg, counts):
     """Per-position G-test p-values of the (choice, outcome) table against
     ``runs/n * tr(P_{i,o} Lambda^{k-1}(rho))``: Lambda is the protocol's average
-    channel, P_{i,o} the sampler's projectors, ``I - P`` a complement outcome."""
-    ps = _Sampler(cfg).projectors
-    if ps.ndim == 3:
-        ps = np.stack([ps, np.eye(3) - ps], axis=1)
+    channel, P_{i,o} the sampler's stacked projectors, ``I - P`` a complement
+    outcome."""
+    ps = _Sampler(cfg).states[1:].reshape(cfg.n, -1, 3, 3)
+    if ps.shape[1] == 1:
+        ps = np.concatenate([ps, np.eye(3) - ps], axis=1)
     channel = average_protocol_channel(build_scenario(cfg.n), cfg.protocol)
     state, pvalues = cfg.initial_state.m, []
     for observed in counts:
@@ -392,7 +394,7 @@ def game_configs():
                    players=3, runs=150, seed=(1 << 64) - 1),
         GameConfig(n=7, protocol=ProtocolId.A_ONLY, ineq=InequalityId.ALPHA,
                    players=5, runs=150, seed=0),
-        # a mixed initial state, and a Born table filled on demand
+        # a mixed initial state under the complete measurement
         GameConfig(n=21, protocol=ProtocolId.FULL, ineq=InequalityId.BETA,
                    players=4, runs=150, seed=3,
                    initial_state=DensityMatrix(random_mixed_matrix(3))),
@@ -401,6 +403,13 @@ def game_configs():
 
 def oracle_kernel(cfg):
     return measure_full if cfg.protocol is ProtocolId.FULL else montecarlo._measure_dichotomic
+
+
+def stacked_projectors(sampler, c):
+    """Choice c's rank-1 projectors in the sampler's state stack: the three of
+    a complete measurement, or a dichotomic slot's one."""
+    ps = sampler.states[1:].reshape(sampler.cfg.n, -1, 3, 3)[c]
+    return ps if len(ps) > 1 else ps[0]
 
 
 def oracle_runs(cfg, start, stop):
@@ -415,7 +424,7 @@ def oracle_runs(cfg, start, stop):
                           us.reshape(-1, cfg.players).tolist()):
             state, steps = cfg.initial_state.m, []
             for pos, c, x in zip(range(1, cfg.players + 1), cs, xs):
-                slot, state = measure(state, sampler.vectors[c], sampler.projectors[c], x)
+                slot, state = measure(state, sampler.vectors[c], stacked_projectors(sampler, c), x)
                 steps.append((pos, c, slot))
             yield steps
 
@@ -475,8 +484,11 @@ def sampler_cases(protocol, n, stop):
 
 
 @pytest.mark.parametrize("lanes", [1, 7, 1024])
-@pytest.mark.parametrize("n", [5, 9, 19, 21])
-@pytest.mark.parametrize("protocol", list(ProtocolId), ids=lambda p: p.value)
+@pytest.mark.parametrize(
+    "protocol,n",
+    [(p, n) for p in ProtocolId for n in (5, 9, 19, 21)] + [(ProtocolId.FULL, 101)],
+    ids=lambda v: v.value if isinstance(v, ProtocolId) else None,
+)
 def test_sampler_matches_the_scalar_kernel(monkeypatch, protocol, n, lanes):
     # the handle and mixed states, drawn one lane at a time (10 runs suffice),
     # or 94 runs as 13 blocks of 7 and one of 3, drawn two positions at a time,
@@ -486,32 +498,39 @@ def test_sampler_matches_the_scalar_kernel(monkeypatch, protocol, n, lanes):
     cases = sampler_cases(protocol, n, stop)
     monkeypatch.setattr(montecarlo, "_LANES", lanes)
     for cfg, counts in cases:
-        sampler = _Sampler(cfg)
-        assert np.array_equal(sampler.tally(3, stop), counts), cfg.players
-        if sampler.born is not None:
-            assert len(sampler.born.memo) <= (3 * n + 1) * n
+        assert np.array_equal(_Sampler(cfg).tally(3, stop), counts), cfg.players
 
 
 @pytest.mark.parametrize("n", [5, 9, 19])
 def test_born_table_entries_are_the_scalar_kernels_sums(n):
-    # every (state, choice) entry, computed or read back from the memo, is bit
-    # for bit the first two running sums of the scalar kernel, on states built
-    # from np.outer
+    # the step's running Born sums for every (state, choice) of the stack are
+    # bit for bit the scalar kernel's, on states built from np.outer: a uniform
+    # at each sum and one ulp below it lands in the scalar kernel's slot, and
+    # the state the step leaves is the scalar kernel's projector
     for initial in (handle_state(), DensityMatrix(random_mixed_matrix(n))):
         cfg = GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
                          players=1, runs=100, seed=0, initial_state=initial)
         sampler = _Sampler(cfg)
         states = [initial.m, *(np.outer(v, v) for vs in sampler.vectors for v in vs)]
-        want = np.array([cumulative_born(s, vs)[:2] for s in states for vs in sampler.vectors])
-        keys = np.arange(len(want))
-        assert np.array_equal(sampler.born[keys[::-1].copy()], want[::-1])
-        assert len(sampler.born.memo) == len(want)
-        assert np.array_equal(sampler.born[keys], want)
+        lanes, slots, after = [], [], []
+        for s, state in enumerate(states):
+            for c, vs in enumerate(sampler.vectors):
+                for cum in cumulative_born(state, vs):
+                    for u in (cum, np.nextafter(cum, -1.0)):
+                        slot, out = measure_full(state, vs, outer_projectors(vs), u)
+                        lanes.append((s, c, u))
+                        slots.append(slot)
+                        after.append(out)
+        state, choices, us = (np.array(x) for x in zip(*lanes))
+        got, index = sampler._measure(state, choices, us)
+        assert np.array_equal(got, slots)
+        assert np.array_equal(sampler.states[index], np.array(after))
 
 
 def test_state_index_slot_at_a_cumulative_boundary(monkeypatch):
     # a uniform equal to a running sum belongs to the next slot, as in the
-    # scalar kernel: every lane's uniform is set to its choice's cum0 or cum1
+    # scalar kernel: every lane's uniform is set to its choice's first or
+    # second running sum, taken from the oracle
     cfg = GameConfig(n=5, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
                      players=1, runs=200, seed=4)
     sampler = _Sampler(cfg)
@@ -519,8 +538,8 @@ def test_state_index_slot_at_a_cumulative_boundary(monkeypatch):
 
     def on_a_boundary(seed, stream_ids, n):
         choices, _ = draws(seed, stream_ids, n)
-        lanes = np.arange(len(choices))
-        return choices, sampler.born[choices][lanes, lanes % 2]  # state 0: key = choice
+        sums = [cumulative_born(cfg.initial_state.m, sampler.vectors[c]) for c in choices]
+        return choices, np.array([cum[j % 2] for j, cum in enumerate(sums)])
 
     monkeypatch.setattr(montecarlo, "_draws", on_a_boundary)
     expected = np.zeros((1, 5, 3), dtype=np.int64)
@@ -532,20 +551,26 @@ def test_state_index_slot_at_a_cumulative_boundary(monkeypatch):
     assert expected[0, :, 0].sum() == 0  # no uniform fell strictly inside slot 0
 
 
-def test_born_table_computes_at_most_one_entry_per_player_step(monkeypatch):
-    # entries are computed on first use and memoised, so a tally computes each
-    # at most once and never more than its player steps; at n=20001 that is
-    # not the 9n^2 floats of the whole table
-    computed = []
-    entry = montecarlo._BornTable._entry
-    monkeypatch.setattr(montecarlo._BornTable, "_entry",
-                        lambda table, key: computed.append(key) or entry(table, key))
-    for n, players, runs in [(9, 3, 30), (20001, 1, 100)]:
-        computed.clear()
-        cfg = GameConfig(n=n, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
-                         players=players, runs=runs, seed=0)
-        _Sampler(cfg).tally(0, runs)
-        assert 0 < len(computed) == len(set(computed)) <= players * runs, n
+def test_full_tally_memory_does_not_grow_with_the_run_count():
+    # nothing is cached between positions: at n=2001 a tally's traced peak is
+    # the same at 1,024 and at 50,000 runs, and afterwards the sampler holds
+    # nothing the tally allocated but numpy's first-call caches (2 KB); a
+    # memo of the Born sums met would hold 0.3 MB at 1,024 runs
+    peaks = []
+    for runs in (1024, 50_000):
+        cfg = GameConfig(n=2001, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                         players=2, runs=runs, seed=0)
+        sampler = _Sampler(cfg)
+        tracemalloc.start()
+        try:
+            counts = sampler.tally(0, runs)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 2 * runs
+        assert current - counts.nbytes < 32 * 1024, (runs, current)
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < 0.1 * 2**20, peaks
 
 
 @pytest.mark.parametrize(
@@ -604,29 +629,25 @@ def test_small_calls_never_start_a_pool(monkeypatch):
 
 
 def test_projector_stack_is_read_only_and_survives_a_tally():
-    # a state after a rank-1 outcome is the cached projector itself, so a
-    # write into that state must raise instead of corrupting later runs
+    # a state after a rank-1 outcome is the stacked projector itself, so a
+    # write into that state must raise instead of corrupting later runs;
+    # state 1 + k*c + o is np.outer of choice c's slot-o vector, for k slots
     for cfg in game_configs():
         sampler = _Sampler(cfg)
-        stack = sampler.projectors
+        stack = sampler.states
         assert not stack.flags.writeable
-        assert np.array_equal(stack, np.stack([outer_projectors(vs) for vs in sampler.vectors]))
+        vectors = sampler.vectors.reshape(cfg.n, -1, 3)
+        k = vectors.shape[1]
+        assert len(stack) == 1 + k * cfg.n and np.array_equal(stack[0], cfg.initial_state.m)
+        for c, vs in enumerate(vectors):
+            for o, v in enumerate(vs):
+                assert np.array_equal(stack[1 + k * c + o], np.outer(v, v)), (c, o)
         before = stack.copy()
         sampler.tally(0, cfg.runs)
         assert np.array_equal(stack, before)
     sampler = _Sampler(cfg_b5())
-    v, pv = sampler.vectors[0], sampler.projectors[0]
+    v, pv = sampler.vectors[0], sampler.states[1]
     slot, state = montecarlo._measure_dichotomic(handle_state().m, v, pv, 0.0)
     assert slot == 0 and state is pv
     with pytest.raises(ValueError):
         state[0, 0] = 0.0
-    # the state-index kernel's state 1 + 3c + o is the cached projectors[c][o]
-    sampler = _Sampler(game_configs()[1])
-    states = sampler.born.states
-    assert len(states) == 3 * sampler.cfg.n + 1 and states[0] is sampler.cfg.initial_state.m
-    for c, ps in enumerate(sampler.projectors):
-        for o, p in enumerate(ps):
-            state = states[1 + 3 * c + o]
-            assert np.shares_memory(state, sampler.projectors) and np.array_equal(state, p)
-            with pytest.raises(ValueError):
-                state[0, 0] = 0.0

@@ -7,6 +7,7 @@ from ncycle import (
     AverageChannel,
     Channel,
     DensityMatrix,
+    GameConfig,
     InvariantBreachError,
     Projector,
     ZeroProbabilityBranchError,
@@ -19,7 +20,7 @@ from ncycle import (
     pure_state,
     random_pure_state,
 )
-from ncycle.montecarlo import _BornTable, _measure_dichotomic
+from ncycle.montecarlo import _measure_dichotomic, _Sampler
 from ncycle.protocols import InequalityId, ProtocolId, measurement_set
 from ncycle.quantum import projector_complement, projector_onto
 
@@ -255,10 +256,14 @@ def test_luders_kernels_are_bit_exact(seed, vec_seed, u):
         assert np.array_equal(out, expected)
     slot, out = measure_full(state, vs, outer_projectors(vs), u)
     assert np.array_equal(out, np.outer(vs[slot], vs[slot]))
-    # the state-index kernel's entry for this state puts u in the same slot
-    table = _BornTable(state, vs[None], outer_projectors(vs)[None])
-    cum0, cum1 = table[np.zeros(1, dtype=np.int64)][0]
-    assert int(u >= cum0) + int(u >= cum1) == slot
+    # the state-index kernel's step from this state, with vs as choice 0,
+    # puts u in the same slot
+    sampler = _Sampler(GameConfig(n=5, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                                  players=1, runs=100, seed=0,
+                                  initial_state=DensityMatrix(state)))
+    sampler.vectors = vs[None]
+    lane = np.zeros(1, dtype=np.int64)
+    assert sampler._measure(lane, lane, np.array([u]))[0][0] == slot
 
 
 def test_random_pure_state_is_pure():

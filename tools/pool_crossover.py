@@ -2,9 +2,13 @@
 
 Times ``estimate_sequence`` at one and at two workers, alternating which goes
 first, with the pool forced on (``POOL_MIN_STEPS`` lowered to 1), over each
-kernel's configs from 3k player steps up, and prints the median times, their
-ratio and every total at which the ratio crosses 1, interpolated in log steps
-between probed totals.  One untimed two-worker call first loads the pool
+kernel's configs from 3k player steps up.  One pass probes every config in
+turn and prints the median times and their ratio; ``PASSES`` passes
+interleave, so a drift of the host's speed falls on every config alike.  At
+the end each config gets the least, median and greatest total, over all
+passes, at which the ratio crosses 1 upwards (two workers begin to win),
+interpolated in log steps between probed totals, and the count of downward
+crossings, which are noise.  One untimed two-worker call first loads the pool
 machinery, as in any process that simulates more than once; a one-shot
 ``simulate`` also pays that import, some 30 ms.  ``montecarlo.POOL_MIN_STEPS``
 is half a kernel's crossing, so that each worker gets at least that many
@@ -21,6 +25,10 @@ from time import perf_counter
 
 from ncycle import GameConfig, InequalityId, ProtocolId, estimate_sequence, montecarlo
 
+#: Interleaved passes over every config: the spread of a crossing over them
+#: shows how far the host's drift moves it.
+PASSES = 3
+
 # (kernel, n, protocol, ineq, players, player-step totals): the mc-game
 # configs of each kernel; the index kernel is about ten times faster a step
 CONFIGS = (
@@ -33,13 +41,12 @@ CONFIGS = (
 )
 
 
-def crossings(totals: tuple[int, ...], ratios: list[float]) -> list[str]:
-    """Totals where the ratio passes 1, log-interpolated, marked up or down."""
+def crossings(totals: tuple[int, ...], ratios: list[float]) -> list[tuple[float, bool]]:
+    """Totals where the ratio passes 1, log-interpolated, each with whether it rises."""
     out = []
     for (s0, r0), (s1, r1) in zip(zip(totals, ratios), zip(totals[1:], ratios[1:])):
         if (r0 < 1) != (r1 < 1):
-            at = s0 * (s1 / s0) ** ((1 - r0) / (r1 - r0))
-            out.append(f"{'up' if r1 > r0 else 'down'} at {at:.0f}")
+            out.append((s0 * (s1 / s0) ** ((1 - r0) / (r1 - r0)), r1 > r0))
     return out
 
 
@@ -50,23 +57,32 @@ def main() -> None:
     montecarlo.POOL_MIN_STEPS.update(dict.fromkeys(montecarlo.POOL_MIN_STEPS, 1))
     estimate_sequence(GameConfig(n=5, protocol=ProtocolId.B_ONLY, ineq=InequalityId.BETA,
                                  players=1, runs=100, seed=0), workers=2)
-    print("kernel      n players   steps   w1_ms   w2_ms  w1/w2")
-    for kernel, n, protocol, ineq, players, totals in CONFIGS:
-        ratios = []
-        for steps in totals:
-            times: dict[int, list[float]] = {1: [], 2: []}
-            for rep in range(args.reps):
-                cfg = GameConfig(n=n, protocol=protocol, ineq=ineq, players=players,
-                                 runs=steps // players, seed=rep)
-                for workers in (1, 2) if rep % 2 == 0 else (2, 1):
-                    t0 = perf_counter()
-                    estimate_sequence(cfg, workers=workers)
-                    times[workers].append(perf_counter() - t0)
-            w1, w2 = (statistics.median(times[w]) * 1e3 for w in (1, 2))
-            ratios.append(w1 / w2)
-            print(f"{kernel:10s} {n:2d} {players:7d} {steps:7d} {w1:7.1f} {w2:7.1f} {w1 / w2:6.2f}",
-                  flush=True)
-        print(f"{kernel} n={n}: w1/w2 crosses 1 {', '.join(crossings(totals, ratios)) or 'nowhere'}")
+    found: list[list[tuple[float, bool]]] = [[] for _ in CONFIGS]
+    print("pass kernel      n players   steps   w1_ms   w2_ms  w1/w2")
+    for p in range(1, PASSES + 1):
+        for i, (kernel, n, protocol, ineq, players, totals) in enumerate(CONFIGS):
+            ratios = []
+            for steps in totals:
+                times: dict[int, list[float]] = {1: [], 2: []}
+                for rep in range(args.reps):
+                    cfg = GameConfig(n=n, protocol=protocol, ineq=ineq, players=players,
+                                     runs=steps // players, seed=rep)
+                    for workers in (1, 2) if rep % 2 == 0 else (2, 1):
+                        t0 = perf_counter()
+                        estimate_sequence(cfg, workers=workers)
+                        times[workers].append(perf_counter() - t0)
+                w1, w2 = (statistics.median(times[w]) * 1e3 for w in (1, 2))
+                ratios.append(w1 / w2)
+                print(f"{p:4d} {kernel:10s} {n:2d} {players:7d} {steps:7d} {w1:7.1f} {w2:7.1f} "
+                      f"{w1 / w2:6.2f}", flush=True)
+            found[i] += crossings(totals, ratios)
+    for (kernel, n, *_), points in zip(CONFIGS, found):
+        ups = sorted(at for at, up in points if up)
+        downs = len(points) - len(ups)
+        spread = (f"min {ups[0]:.0f}, median {statistics.median(ups):.0f}, max {ups[-1]:.0f}"
+                  if ups else "nowhere")
+        print(f"{kernel} n={n}: w1/w2 crosses 1 upwards {len(ups)} times in {PASSES} "
+              f"passes: {spread}; downwards {downs} times")
 
 
 if __name__ == "__main__":
