@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantBreachError, PairingError
+from .errors import PairingError
 from .quantum import Channel, projector_complement, projector_onto
 from .scenario import Scenario
 
@@ -135,10 +135,6 @@ def measurement_set(sc: Scenario, protocol: ProtocolId, i: int) -> Channel:
 def functional_operator(sc: Scenario, ineq: InequalityId) -> FunctionalOperator:
     vs = sc.a_vectors if ineq is InequalityId.ALPHA else sc.b_vectors
     op = np.einsum("ni,nj->ij", vs, vs)
-    if abs(np.trace(op) - sc.n) > 1e-10:
-        raise InvariantBreachError(
-            f"functional operator trace {float(np.trace(op))!r} != n={sc.n}"
-        )
     op.setflags(write=False)
     return FunctionalOperator(op=op)
 

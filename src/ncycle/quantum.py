@@ -31,7 +31,7 @@ class DensityMatrix:
     m: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=float)
+        m = np.array(self.m, dtype=float)  # a copy: the caller's array stays writable
         if m.shape != (3, 3):
             raise InvariantBreachError(f"density matrix must be 3x3, got {m.shape}")
         if np.abs(m - m.T).max() > SYM_TOL:

@@ -95,20 +95,9 @@ def build_scenario(n: int) -> Scenario:
 
 def _validate(sc: Scenario) -> None:
     n, a, b = sc.n, sc.a_vectors, sc.b_vectors
-    nxt = np.roll(np.arange(n), -1)
-    checks = [
-        np.abs(np.linalg.norm(a, axis=1) - 1.0).max(),
-        np.abs(np.linalg.norm(b, axis=1) - 1.0).max(),
-        np.abs(np.einsum("ij,ij->i", a, a[nxt])).max(),
-        np.abs(np.einsum("ij,ij->i", b, a)).max(),
-        np.abs(np.einsum("ij,ij->i", b, a[nxt])).max(),
-    ]
-    if max(checks) > ORTHO_TOL:
-        raise InvariantBreachError(
-            f"scenario invariant breach for n={n}: worst residual {max(checks):.3e}"
-        )
-    # each context must resolve the identity: an orthonormal-basis check
-    an = a[nxt]
+    # the one check: each context, the columns of A, resolves the identity; A^T A - I has
+    # the eigenvalues of A A^T - I, so no norm or overlap is then off by over 3 * ORTHO_TOL
+    an = np.roll(a, -1, axis=0)
     s = (
         a[:, :, None] * a[:, None, :]
         + b[:, :, None] * b[:, None, :]

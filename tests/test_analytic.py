@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ncycle import (
     DensityMatrix,
     InequalityId,
+    InvariantBreachError,
     PairingError,
     ProtocolId,
     SymmetryBreachError,
@@ -24,6 +26,7 @@ from ncycle import (
 )
 from ncycle import analytic
 from ncycle.analytic import aggregate_probability_vector, context_probabilities
+from ncycle.protocols import FunctionalOperator
 from ncycle.scenario import Scenario
 
 from conftest import oracle_a_vectors, random_mixed_matrix
@@ -483,3 +486,30 @@ def test_sequence_verdict_accessor(sc5, handle):
     verdict = evaluate(seq.values[0], InequalityId.BETA, 5)
     assert verdict.violates
     assert verdict.margin == pytest.approx(2 * math.sqrt(5) - 4, abs=1e-12)
+
+
+def test_recurrence_slope_range_check_fires(monkeypatch, sc5):
+    # F = n |h><h| and the identity channel decompose exactly with slope 1 and
+    # offset 0, and pass the closed-form cross-check: only the range check is
+    # left to stop _last_violating's doubling search, which would never end
+    h = sc5.handle
+    fop = FunctionalOperator(op=sc5.n * np.outer(h, h))
+    monkeypatch.setattr(analytic, "functional_operator", lambda sc, ineq: fop)
+    monkeypatch.setattr(
+        analytic, "average_protocol_channel", lambda sc, p: SimpleNamespace(on_matrix=lambda m: m)
+    )
+    with pytest.raises(InvariantBreachError, match=r"recurrence slope 1\.0 is not in \(0, 1\)"):
+        extract_recurrence(sc5, ProtocolId.B_ONLY, InequalityId.BETA)
+
+
+def test_context_probability_check_fires(handle):
+    # b_0 tilted 1e-6 towards a_0 stays a unit vector, so its projector is
+    # valid, but context 0 no longer resolves the identity; built without
+    # _validate, the context's Born probabilities then miss 1 by about 4e-7
+    sc = build_scenario(5)
+    b = sc.b_vectors.copy()
+    b[0] += 1e-6 * sc.a_vectors[0]
+    b[0] /= np.linalg.norm(b[0])
+    tilted = Scenario(n=5, a_vectors=sc.a_vectors, b_vectors=b, handle=sc.handle)
+    with pytest.raises(InvariantBreachError, match="context 0 probabilities sum to"):
+        context_probabilities(tilted, handle, 0)

@@ -651,3 +651,26 @@ def test_projector_stack_is_read_only_and_survives_a_tally():
     assert slot == 0 and state is pv
     with pytest.raises(ValueError):
         state[0, 0] = 0.0
+
+
+def test_config_rejects_zero_runs():
+    with pytest.raises(InvariantBreachError, match=r"runs must be in \[1, 2\^48\)"):
+        cfg_b5(runs=0)
+
+
+def test_variance_clamp_keeps_a_degenerate_stderr_at_zero(monkeypatch):
+    # every run in slot 0: the exact variance is 0, but at this run count the
+    # tally's float moments round it to -4.5e-13, whose square root is nan
+    runs = 1_082_675_956_941
+    cfg = GameConfig(n=101, protocol=ProtocolId.FULL, ineq=InequalityId.ALPHA,
+                     players=1, runs=runs, seed=0)
+
+    def all_in_slot_0(cfg, start, stop):
+        counts = np.zeros((cfg.players, cfg.n, 3), dtype=np.int64)
+        counts[:, 0, 0] = stop - start
+        return counts
+
+    monkeypatch.setattr(montecarlo, "_tally_range", all_in_slot_0)
+    est = estimate_sequence(cfg)
+    assert est.estimates == (50.5,)
+    assert est.stderrs == (0.0,)

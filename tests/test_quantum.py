@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,3 +273,20 @@ def test_random_pure_state_is_pure():
     for _ in range(10):
         rho = random_pure_state(rng).m
         assert np.abs(rho @ rho - rho).max() < 1e-12
+
+
+def test_born_probability_range_check_fires():
+    # a state matrix just outside the PSD cone gives the handle a weight of
+    # -1e-9, past the 1e-10 clamp; DensityMatrix would refuse it, so the
+    # matrix comes on a plain object
+    state = SimpleNamespace(m=np.diag([0.5, 0.5, -1e-9]))
+    with pytest.raises(InvariantBreachError, match="Born probability"):
+        born_probability(state, projector_onto(np.array([0.0, 0.0, 1.0])))
+
+
+def test_density_matrix_leaves_the_callers_array_writable():
+    m = np.diag([0.5, 0.25, 0.25])
+    d = DensityMatrix(m)
+    assert d.m is not m and m.flags.writeable and not d.m.flags.writeable
+    m[0, 0] = 0.0
+    assert d.m[0, 0] == 0.5
