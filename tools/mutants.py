@@ -12,15 +12,14 @@ show and is listed with its reason.  Nothing is written inside the repo.
 The list holds the checks an earlier probe mutated that still exist, one
 mutant per check that a test was added to fire, and for each check deleted
 as implied, a fault it guarded together with the check that still catches it.
-One Tier-1 run takes about a minute, so the whole list takes about twenty.
+One Tier-1 run takes one to two minutes, so the whole list takes about half an hour.
 
-Usage: python3 tools/mutants.py [--only NAME ...]
+Usage: python3 tools/mutants.py
 Exits 1 if a mutant no longer applies or a non-equivalent mutant survives.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -119,11 +118,7 @@ def stale(mutant: Mutant) -> bool:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
-    args = parser.parse_args()
-    chosen = [m for m in MUTANTS if not args.only or m.name in args.only]
-    bad = [m.name for m in chosen if stale(m)]
+    bad = [m.name for m in MUTANTS if stale(m)]
     for name in bad:
         print(f"{name}: does not apply (fragment not found exactly once)")
     status, base = run_on_copy(None)
@@ -132,7 +127,7 @@ def main() -> int:
         return 1
     print(f"unmutated tree: {len(base)} failing: {', '.join(sorted(base))}")
     killed = 0
-    for m in chosen:
+    for m in MUTANTS:
         if m.name in bad:
             continue
         status, failing = run_on_copy(m)
@@ -147,7 +142,7 @@ def main() -> int:
             bad.append(m.name)
         killed += verdict.startswith("killed")
         print(f"{m.name}: {verdict}", flush=True)
-    print(f"{killed} of {len(chosen)} killed; {len(bad)} survived or stale")
+    print(f"{killed} of {len(MUTANTS)} killed; {len(bad)} survived or stale")
     return 1 if bad else 0
 
 
